@@ -1,19 +1,22 @@
 """One benchmark run: one workload, one process, one Spark session.
 
 The run sets the workload up several times, warms up untimed, then
-times closed-loop rounds for the requested seconds. A round is the four
-user operations in order, each started when the previous one returned:
+times closed-loop rounds for the requested seconds. A round is these
+operations in order, each started when the previous one returned:
 
 * ``audit``: ``CoverageIndex.from_spark`` then ``mups_deepdiver``;
 * ``breaker``: ``mups_pattern_breaker`` on the round's index;
-* ``combiner``: ``mups_pattern_combiner`` on the round's index;
+* ``combiner``: ``mups_pattern_combiner`` on the round's index, only in
+  the warm-up round and in instrumented rounds;
 * ``remedy``: ``mups_deepdiver(max_level=λ)``, ``uncovered_at_level``,
   ``greedy_hitting_set``, ``append_collected`` and
   ``verify_covered_level``.
 
-Every round's outputs are checked after the round, outside the timed
-region. An operation whose check fails, or that runs out of its time
-budget, counts as failed.
+A timed round calls each timed operation the workload's ``calls`` times
+back to back; the operation's sample is the mean of those calls. Every call's
+outputs are checked after the round, outside the timed region. An
+operation whose check fails, or that runs out of its time budget, counts
+as failed, and a budget overrun skips the rest of its round.
 """
 from __future__ import annotations
 
@@ -37,12 +40,11 @@ from repro.core.pattern_combiner import mups_pattern_combiner
 from repro.enhance.apply import append_collected, verify_covered_level
 from repro.enhance.expand import uncovered_at_level
 from repro.enhance.hitting_set import greedy_hitting_set
-from repro.oracle import assert_equivalent
 
 from spans import Tracer
 from workloads import Workload, make_data
 
-SETUPS = 5
+SETUPS = 4
 MAX_WARMUP_SCANS = 8
 #: Every budgeted call gets the time left until this many seconds past
 #: the requested measuring time, counted from the process start, so a
@@ -50,11 +52,16 @@ MAX_WARMUP_SCANS = 8
 #: a run that never ends.
 BUDGET_MARGIN_S = 120.0
 
-#: End-to-end timing metric -> the operation span it is the median of.
-OP_SPANS = {
-    "audit_s": "audit", "breaker_s": "breaker",
-    "combiner_s": "combiner", "remedy_s": "remedy",
-}
+#: End-to-end timing metric -> the operation it times, in round order.
+OP_SPANS = {"audit_s": "audit", "breaker_s": "breaker", "remedy_s": "remedy"}
+#: PATTERN-COMBINER is checked in the warm-up round and timed in
+#: instrumented rounds only. It slows down most when the host is busy:
+#: timed in turn with the others in one process for 150 s, its slowest
+#: tenth of calls took 1.85x its fastest tenth, against 1.6x for
+#: DEEPDIVER and PATTERN-BREAKER, and over ten runs its spread was above
+#: the largest bound a gated metric may have. Its share of each round
+#: goes to the gated operations instead.
+OPS_WITH_COMBINER = ("audit", "breaker", "combiner", "remedy")
 
 
 def calibrate() -> float:
@@ -67,15 +74,12 @@ def calibrate() -> float:
 
 
 class Run:
-    def __init__(self, spark: SparkSession, w: Workload, data_seed: int,
-                 seed: int, deadline: float):
+    def __init__(self, spark: SparkSession, w: Workload, seed: int, deadline: float):
         self.spark = spark
         self.w = w
-        self.data_seed = data_seed
         self.seed = seed
         self.deadline = deadline
         self.tr = Tracer(spark.sparkContext)
-        self.check_counts = data_seed == w.data_seed
         self.attempted = 0
         self.failures: List[str] = []
         self.failed_ops = set()  # (round, operation)
@@ -112,7 +116,7 @@ class Run:
                 self.df.unpersist()
             with self.tr.span("setup"):
                 with self.tr.span("synth_data.gen"):
-                    pdf = make_data(self.w, self.data_seed, self.seed)
+                    pdf = make_data(self.w, self.seed)
                 with self.tr.span("spark.load"):
                     df = self.spark.createDataFrame(pdf)
                     df = df.repartition(self.spark.sparkContext.defaultParallelism).cache()
@@ -120,7 +124,10 @@ class Run:
             self.pdf, self.df = pdf, df
 
     def check_scan_oracle(self) -> None:
-        """The groupBy scan equals a DuckDB GROUP BY over the same data."""
+        """The groupBy scan equals a DuckDB GROUP BY over the same data.
+        DuckDB is imported here, after the peak RSS has been read."""
+        from repro.oracle import assert_equivalent
+
         self.attempted += 1
         cols = ", ".join(self.w.attrs)
         try:
@@ -160,22 +167,35 @@ class Run:
         tr = self.tr
         tr.round = rid
         gc.collect()  # every round starts from the same heap state
-        r: dict = {"dnf": set()}
+        # Each output key holds one value per call; "dnf" maps an operation
+        # that did not finish to the reason.
+        r: dict = {k: [] for k in ("dd", "pb", "pc", "ddl", "m_lam", "combos", "level")}
+        r["dnf"] = {}
         gc0 = (tr.gc_s, tr.gc_collections)
+        ops = (OPS_WITH_COMBINER if rid == "warmup" or tr.instrument
+               else tuple(OP_SPANS.values()))
         with tr.span("round"):
-            for op, body in (("audit", self._audit), ("breaker", self._breaker),
-                             ("combiner", self._combiner), ("remedy", self._remedy)):
+            for op in ops:
+                if r["dnf"]:
+                    # An overrun means the deadline is near or past; the
+                    # remaining operations would each get the minimum budget
+                    # and verify_covered_level none at all.
+                    r["dnf"][op] = "skipped after an earlier time-budget overrun"
+                    continue
+                # The warm-up round calls each operation once; it only warms up.
+                calls = 1 if rid == "warmup" else self.w.calls.get(op, 1)
                 try:
                     with tr.span(op):
-                        body(r)
+                        for _ in range(calls):
+                            getattr(self, "_" + op)(r)
                 except TimeBudgetExceeded:
-                    r["dnf"].add(op)
+                    r["dnf"][op] = "did not finish within its time budget"
         r["python.gc_s"] = tr.gc_s - gc0[0]
         r["python.gc_collections"] = tr.gc_collections - gc0[1]
-        self.attempted += len(OP_SPANS)
+        self.attempted += len(ops)
         self._check(r)
-        counts = {k: len(r[v]) for k, v in (("n_mups", "dd"), ("m_lambda", "m_lam"),
-                                            ("combos", "combos")) if r.get(v) is not None}
+        counts = {k: len(r[v][0]) for k, v in (("n_mups", "dd"), ("m_lambda", "m_lam"),
+                                               ("combos", "combos")) if r[v]}
         if "idx" in r:
             counts["m"] = len(r["idx"].counts)
         return {**counts, **{k: v for k, v in r.items() if k == "dnf" or "." in k}}
@@ -187,60 +207,73 @@ class Run:
         r["idx"] = idx
         c0 = idx.cov_calls
         with self.tr.span("deepdiver"):
-            r["dd"] = mups_deepdiver(idx, w.tau, time_limit=self.limit())
+            r["dd"].append(mups_deepdiver(idx, w.tau, time_limit=self.limit()))
         r["deepdiver.cov_calls"] = idx.cov_calls - c0
 
     def _breaker(self, r: dict) -> None:
         idx = r["idx"]
         c0 = idx.cov_calls
         with self.tr.span("pattern_breaker"):
-            r["pb"] = mups_pattern_breaker(idx, self.w.tau, time_limit=self.limit())
+            r["pb"].append(mups_pattern_breaker(idx, self.w.tau, time_limit=self.limit()))
         r["pattern_breaker.cov_calls"] = idx.cov_calls - c0
 
     def _combiner(self, r: dict) -> None:
         with self.tr.span("pattern_combiner"):
-            r["pc"] = mups_pattern_combiner(r["idx"], self.w.tau, time_limit=self.limit())
+            r["pc"].append(mups_pattern_combiner(r["idx"], self.w.tau, time_limit=self.limit()))
 
     def _remedy(self, r: dict) -> None:
         w, tr = self.w, self.tr
         with tr.span("remedy.deepdiver"):
-            r["ddl"] = mups_deepdiver(r["idx"], w.tau, max_level=w.lam, time_limit=self.limit())
+            ddl = mups_deepdiver(r["idx"], w.tau, max_level=w.lam, time_limit=self.limit())
         with tr.span("expand"):
-            r["m_lam"] = sorted(uncovered_at_level(r["ddl"], w.lam, w.cards))
+            m_lam = sorted(uncovered_at_level(ddl, w.lam, w.cards))
         with tr.span("hitting_set"):
-            r["combos"] = greedy_hitting_set(r["m_lam"], w.cards, time_limit=self.limit())
+            combos = greedy_hitting_set(m_lam, w.cards, time_limit=self.limit())
         with tr.span("apply.append"):
-            df2 = append_collected(self.spark, self.df, r["combos"], w.attrs, w.tau)
+            df2 = append_collected(self.spark, self.df, combos, w.attrs, w.tau)
+        # verify_covered_level takes no time_limit, and its unbounded
+        # DEEPDIVER is the remedy's largest call: start it only while the
+        # budget lasts, so a slow round fails instead of hanging.
+        if time.perf_counter() >= self.deadline:
+            raise TimeBudgetExceeded()
         with tr.span("apply.verify", spark=True):
-            r["level"] = verify_covered_level(df2, w.attrs, w.cards, w.tau)
+            level = verify_covered_level(df2, w.attrs, w.cards, w.tau)
+        for k, v in (("ddl", ddl), ("m_lam", m_lam), ("combos", combos), ("level", level)):
+            r[k].append(v)
 
     # -- correctness ---------------------------------------------------
 
     def _check(self, r: dict) -> None:
+        """Check every call of the round; the first finished DEEPDIVER
+        call is the reference the others are compared with."""
         w = self.w
-        for op in sorted(r["dnf"]):
-            self.fail(op, "did not finish within its time budget")
-        idx, dd, pb, pc = r.get("idx"), r.get("dd"), r.get("pb"), r.get("pc")
+        for op, why in r["dnf"].items():
+            self.fail(op, why)
+        idx = r.get("idx")
         if idx is not None and idx.n != len(self.pdf):
             self.fail("audit", f"index counts {idx.n} rows, data has {len(self.pdf)}")
-        if dd is not None:
-            if self.check_counts and len(dd) != w.expected_mups:
-                self.fail("audit", f"{len(dd)} MUPs, expected {w.expected_mups}")
-            if pb is not None and pb != dd:
-                self.fail("breaker", "PATTERN-BREAKER and DEEPDIVER MUPs differ")
-            if pc is not None and pc != dd:
-                self.fail("combiner", "PATTERN-COMBINER and DEEPDIVER MUPs differ")
-        if "remedy" in r["dnf"] or "level" not in r:
+        if not r["dd"]:
             return
-        if dd is not None and r["ddl"] != {p for p in dd if pt.level(p) <= w.lam}:
-            self.fail("remedy", "level-limited DEEPDIVER disagrees with the full MUP set")
-        if self.check_counts and len(r["m_lam"]) != w.expected_m_lambda:
-            self.fail("remedy", f"|M_λ|={len(r['m_lam'])}, expected {w.expected_m_lambda}")
-        unhit = count_unhit(r["m_lam"], r["combos"])
-        if unhit:
-            self.fail("remedy", f"{unhit} patterns of M_λ match no collected combination")
-        if r["level"] < w.lam:
-            self.fail("remedy", f"covered level {r['level']} after the remedy, target {w.lam}")
+        dd = r["dd"][0]
+        if len(dd) != w.expected_mups:
+            self.fail("audit", f"{len(dd)} MUPs, expected {w.expected_mups}")
+        if any(x != dd for x in r["dd"][1:]):
+            self.fail("audit", "repeated DEEPDIVER calls return different MUPs")
+        if any(x != dd for x in r["pb"]):
+            self.fail("breaker", "PATTERN-BREAKER and DEEPDIVER MUPs differ")
+        if any(x != dd for x in r["pc"]):
+            self.fail("combiner", "PATTERN-COMBINER and DEEPDIVER MUPs differ")
+        low = {p for p in dd if pt.level(p) <= w.lam}
+        for ddl, m_lam, combos, level in zip(r["ddl"], r["m_lam"], r["combos"], r["level"]):
+            if ddl != low:
+                self.fail("remedy", "level-limited DEEPDIVER disagrees with the full MUP set")
+            if len(m_lam) != w.expected_m_lambda:
+                self.fail("remedy", f"|M_λ|={len(m_lam)}, expected {w.expected_m_lambda}")
+            unhit = count_unhit(m_lam, combos)
+            if unhit:
+                self.fail("remedy", f"{unhit} patterns of M_λ match no collected combination")
+            if level < w.lam:
+                self.fail("remedy", f"covered level {level} after the remedy, target {w.lam}")
 
 
 def count_unhit(patterns, combos) -> int:
@@ -273,26 +306,31 @@ def _sample(xs, unit, value=_median) -> dict:
 
 
 def _op_times(run: Run, rounds, results, op: str) -> List[float]:
-    """Durations of ``op`` in ``rounds``, leaving out budget overruns."""
-    return [s["s"] for s in run.tr.by_round(rounds)[op]
+    """Seconds per call of ``op`` in each of ``rounds``, leaving out
+    budget overruns."""
+    return [s["s"] / run.w.calls[op] for s in run.tr.by_round(rounds)[op]
             if op not in results[s["round"]]["dnf"]]
 
 
-def end_to_end(run: Run, rounds, results) -> Dict[str, dict]:
+def end_to_end(run: Run, rounds, results, rss_mib: float) -> Dict[str, dict]:
     setups = run.tr.by_round(["setup"])["setup"]
     out = {"setup_s": _sample([s["s"] for s in setups], "s")}
     for metric, op in OP_SPANS.items():
         # The mean, not the median: on a shared host the driver thread
-        # flips between a fast mode and one up to ~1.7x slower from one
-        # call to the next, so a median of ~10 rounds lands in either
-        # mode, while the mean follows the share of slow calls smoothly.
-        # In a closed loop the mean is also the inverse of throughput.
+        # flips between a fast mode and one up to ~1.7x slower, so a
+        # median of a few rounds lands in either mode, while the mean
+        # follows the share of slow calls smoothly. In a closed loop the
+        # mean is also the inverse of throughput.
         out[metric] = _sample(_op_times(run, rounds, results, op), "s", value=_mean)
     out["remedy_combos"] = _sample(
         [results[i]["combos"] for i in rounds if "combos" in results[i]], "count")
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    out["peak_rss_mib"] = _sample([rss], "MiB")
+    out["peak_rss_mib"] = _sample([rss_mib], "MiB")
     return out
+
+
+def max_rss_mib() -> float:
+    """Peak RSS of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def per_layer(run: Run, traced, plain, results, extra) -> Dict[str, dict]:
@@ -322,6 +360,7 @@ def per_layer(run: Run, traced, plain, results, extra) -> Dict[str, dict]:
         "spark.warmup_s": (extra["warmup_s"], "s"),
         "host.calib_s": (extra["calib"][0], "s"),
         "host.calib_end_s": (extra["calib"][1], "s"),
+        "python.base_rss_mib": (extra["base_rss_mib"], "MiB"),
         "coverage.scan_s": (span_s("coverage.from_spark", "self_s"), "s"),
         "coverage.index_s": (span_s("coverage.index"), "s"),
         "coverage.m": (m, "count"),
@@ -385,14 +424,14 @@ def _print_table(title: str, metrics: Dict[str, dict]) -> None:
         print(line)
 
 
-def run(spark: SparkSession, w: Workload, *, data_seed: int, seed: int,
-        seconds: float, trace: bool, t_process: float, session_s: float) -> int:
+def run(spark: SparkSession, w: Workload, *, seed: int, seconds: float,
+        trace: bool, t_process: float, session_s: float) -> int:
     """Run the benchmark; print the report and, last, the result line.
     Returns the process exit code: 0 if every check passed."""
-    bench = Run(spark, w, data_seed, seed, t_process + seconds + BUDGET_MARGIN_S)
+    bench = Run(spark, w, seed, t_process + seconds + BUDGET_MARGIN_S)
     calib = [calibrate()]
+    base_rss_mib = max_rss_mib()
     bench.set_up()
-    bench.check_scan_oracle()
     warmup_s = bench.warm_up()
 
     results: Dict[int, dict] = {}
@@ -400,7 +439,10 @@ def run(spark: SparkSession, w: Workload, *, data_seed: int, seed: int,
     traced: List[int] = []
     t0 = time.perf_counter()
     i = 0
-    while time.perf_counter() - t0 < seconds or not plain or (trace and not traced):
+    while not plain or (trace and not traced) or (
+            # Start a round only if a round of the mean length so far
+            # still ends within the measuring time.
+            (time.perf_counter() - t0) * (i + 1) / i <= seconds):
         # The traced run alternates plain and instrumented rounds so the
         # tracing overhead is measured within one process.
         on = trace and i % 2 == 1
@@ -410,21 +452,25 @@ def run(spark: SparkSession, w: Workload, *, data_seed: int, seed: int,
         (traced if on else plain).append(i)
         i += 1
     calib.append(calibrate())
+    e2e = end_to_end(bench, plain, results, max_rss_mib())
+    bench.check_scan_oracle()
 
-    e2e = end_to_end(bench, plain, results)
-    print(f"perfbench workload={w.name} seed={seed} data_seed={data_seed} "
+    print(f"perfbench workload={w.name} seed={seed} data_seed={w.data_seed} "
           f"master={spark.sparkContext.master} rounds={len(plain)}+{len(traced)} traced "
           f"host.calib_s={calib[0]:.4f}->{calib[1]:.4f}")
-    _print_table("end-to-end (setup_s: median of set-ups; other times: mean over rounds)", e2e)
+    _print_table("end-to-end (setup_s: median of set-ups; other times: mean per call "
+                 "over rounds)", e2e)
     record = {
-        "workload": w.name, "seed": seed, "data_seed": data_seed, "params": w.params,
+        "workload": w.name, "seed": seed, "params": w.params,
         "master": spark.sparkContext.master, "rounds": len(plain), "setups": SETUPS,
         "session_s": session_s, "warmup_s": warmup_s, "calib_s": calib,
+        "base_rss_mib": base_rss_mib,
         "end_to_end": e2e, "failures": bench.failures,
     }
     if trace:
         layer = per_layer(bench, traced, plain, results,
-                          {"session_s": session_s, "warmup_s": warmup_s, "calib": calib})
+                          {"session_s": session_s, "warmup_s": warmup_s, "calib": calib,
+                           "base_rss_mib": base_rss_mib})
         _print_table("per layer (traced rounds)", layer)
         record.update(traced_rounds=len(traced), per_layer=layer,
                       spans=span_summary(bench, traced))

@@ -2,12 +2,12 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload airbnb10 --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload airbnb10 --seed 1 --seconds 34 --trace 0
 
-The run starts a ``local[N]`` Spark session (N = min(4, cores)) with the
-session settings of ``jobs/_common.get_spark``: 64 shuffle partitions,
-Arrow on. It prints a report, a ``RECORD`` line with every sample and
-parameter, and last a JSON line ``{"correct", "attempted", "failed",
+The run starts its Spark session with ``jobs/_common.get_spark``, the
+session builder of the per-table jobs (64 shuffle partitions, Arrow on),
+on the master ``local[N]``, N = min(4, cores). It prints a report, a
+``RECORD`` line with every sample and parameter, and last a JSON line ``{"correct", "attempted", "failed",
 "metrics"}``: the end-to-end metrics with ``--trace 0``, the per-layer
 metrics with ``--trace 1``. It exits 0 only if every check passed.
 
@@ -37,8 +37,6 @@ def parse_args(argv):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True,
                     help="seed of the value relabelling and row order")
-    ap.add_argument("--data-seed", type=int, default=None,
-                    help="generator seed; defaults to the workload's own")
     ap.add_argument("--seconds", type=float, required=True,
                     help="how long the timed rounds run")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -59,7 +57,7 @@ def _stop(spark, proc) -> None:
 
 
 def _run(args, work: Path, t_process: float) -> int:
-    sys.path.insert(0, str(SRC))
+    sys.path[:0] = [str(SRC), str(ROOT)]
     from workloads import WORKLOADS
 
     w = WORKLOADS.get(args.workload)
@@ -69,28 +67,16 @@ def _run(args, work: Path, t_process: float) -> int:
         return 2
 
     import bench
-    from pyspark.sql import SparkSession
+    from jobs._common import get_spark
 
     t0 = time.perf_counter()
-    spark = (
-        SparkSession.builder.appName(f"perfbench-{w.name}")
-        .master(f"local[{CORES}]")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.ui.enabled", "false")
-        .config("spark.ui.showConsoleProgress", "false")
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.sql.warehouse.dir", str(work / "warehouse"))
-        .getOrCreate()
-    )
+    spark = get_spark(f"perfbench-{w.name}")
     session_s = time.perf_counter() - t0
     proc = spark.sparkContext._gateway.proc
     try:
         spark.sparkContext.setLogLevel("ERROR")
         return bench.run(
-            spark, w,
-            data_seed=w.data_seed if args.data_seed is None else args.data_seed,
-            seed=args.seed, seconds=args.seconds, trace=bool(args.trace),
+            spark, w, seed=args.seed, seconds=args.seconds, trace=bool(args.trace),
             t_process=t_process, session_s=session_s,
         )
     finally:
@@ -113,10 +99,19 @@ def main(argv=None) -> int:
     # The JVM would otherwise keep its performance counters in /tmp.
     os.environ["JAVA_TOOL_OPTIONS"] = " ".join(
         filter(None, [os.environ.get("JAVA_TOOL_OPTIONS"), "-XX:-UsePerfData"]))
+    # get_spark takes the master from SPARK_MASTER; the settings it does
+    # not make go on the spark-submit command line.
+    os.environ["SPARK_MASTER"] = f"local[{CORES}]"
+    conf = {
+        "spark.ui.enabled": "false",
+        "spark.ui.showConsoleProgress": "false",
+        "spark.driver.host": "127.0.0.1",
+        "spark.sql.warehouse.dir": str(work / "warehouse"),
+    }
     os.environ["PYSPARK_SUBMIT_ARGS"] = " ".join([
-        f"--master local[{CORES}]",
         f"--driver-memory {DRIVER_MEMORY}",
         "--driver-java-options", shlex.quote(f"-Djava.io.tmpdir={work}"),
+        *(f"--conf {shlex.quote(f'{k}={v}')}" for k, v in conf.items()),
         "pyspark-shell",
     ])
     try:

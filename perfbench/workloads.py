@@ -8,10 +8,14 @@ relabelling of every attribute's values and a seeded row order of the
 generated data. The relabelled dataset is isomorphic to the generated
 one, so the MUP count, |M_λ| and the coverage evaluations stay the
 same for every ``--seed`` and only the order in which the algorithms
-meet values changes. A different generator seed (``--data-seed``) is a
-different-size instance: at d=12, seed 12 gives 2,230 MUPs against
-seed 11's 4,376. The expected counts below hold for the default
-``data_seed`` only.
+meet values changes. A different generator seed is a different-size
+instance (at d=12, seed 12 gives 2,230 MUPs against seed 11's 4,376),
+so it would be a workload of its own with its own expected counts.
+
+``calls`` says how many times a timed round calls each timed operation
+back to back; one sample is the mean of those calls. It makes every
+sample of an operation last a second or more, so that short operations
+are not timed in single sub-second calls.
 """
 from __future__ import annotations
 
@@ -34,14 +38,16 @@ class Workload:
     data_seed: int
     tau: int
     lam: int
-    expected_mups: int  # at ``data_seed``, for every --seed
+    expected_mups: int  # for every --seed
     expected_m_lambda: int
+    calls: Dict[str, int]  # timed operation -> calls per sample
 
     @property
     def params(self) -> Dict[str, object]:
         return {
             "attrs": list(self.attrs), "cards": list(self.cards),
             "data_seed": self.data_seed, "tau": self.tau, "lam": self.lam,
+            "calls": dict(self.calls),
         }
 
 
@@ -66,6 +72,7 @@ WORKLOADS: Dict[str, Workload] = {
             lam=5,
             expected_mups=1079,
             expected_m_lambda=1535,
+            calls={"audit": 2, "breaker": 2, "remedy": 1},
         ),
         Workload(
             name="bluenile6",
@@ -83,15 +90,16 @@ WORKLOADS: Dict[str, Workload] = {
             lam=3,
             expected_mups=2697,
             expected_m_lambda=2063,
+            calls={"audit": 5, "breaker": 16, "remedy": 1},
         ),
     )
 }
 
 
-def make_data(w: Workload, data_seed: int, seed: int) -> pd.DataFrame:
+def make_data(w: Workload, seed: int) -> pd.DataFrame:
     """The generated frame with each attribute's values relabelled by a
     permutation drawn from ``seed``, in a row order drawn from ``seed``."""
-    base = w.generate(data_seed)
+    base = w.generate(w.data_seed)
     g = np.random.default_rng(seed)
     cols = {a: g.permutation(c)[base[a].to_numpy()] for a, c in zip(w.attrs, w.cards)}
     return pd.DataFrame(cols).iloc[g.permutation(len(base))].reset_index(drop=True)
