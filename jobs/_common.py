@@ -1,19 +1,7 @@
-"""Shared spark-submit plumbing for the per-table jobs.
-
-Each job exposes ``run(spark, **params) -> list[dict]`` via its
-experiment harness and a ``main()`` that builds the session, renders the
-rows both as a Spark DataFrame and as the markdown block EXPERIMENTS.md
-records.
-"""
+"""The SparkSession builder shared by ``jobs/run.py`` and ``perfbench/``."""
 from __future__ import annotations
 
-import json
-import sys
-from typing import Callable, List
-
 from pyspark.sql import SparkSession
-
-from repro.experiments.common import show_rows
 
 
 def get_spark(app: str) -> SparkSession:
@@ -28,24 +16,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )
-
-
-def emit(spark: SparkSession, rows: List[dict], title: str) -> None:
-    """Print the result rows (markdown + Spark show) and a JSON line for
-    machine consumption by the EXPERIMENTS.md generator."""
-    print(f"\n## {title}\n")
-    print(show_rows(rows))
-    if rows:
-        spark.createDataFrame(
-            [{k: (str(v) if v is None else v) for k, v in r.items()} for r in rows]
-        ).show(len(rows), truncate=False)
-    print("JSONROWS " + json.dumps(rows))
-
-
-def job_main(title: str, fn: Callable[[SparkSession], List[dict]]) -> None:
-    spark = get_spark(title)
-    try:
-        emit(spark, fn(spark), title)
-    finally:
-        spark.stop()
-        sys.stdout.flush()

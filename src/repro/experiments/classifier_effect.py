@@ -21,6 +21,7 @@ LABEL = "reoffend"
 
 
 def run(
+    spark=None,
     *,
     n: int = 6889,
     seed: int = 7,
@@ -28,6 +29,8 @@ def run(
     n_test_hf: int = 20,
     max_depth: int = 8,
 ) -> List[dict]:
+    """Rows of the Fig-11 table. Driver-only: ``spark`` is accepted so
+    every harness has the same call shape, and is not used."""
     pdf = sd.compas_like_pdf(n=n, seed=seed)
     g = np.random.default_rng(seed + 1)
 

@@ -1,8 +1,9 @@
-"""Shared experiment utilities: timing with honest DNF reporting."""
+"""Shared experiment utilities: timing with honest DNF reporting, and the
+markdown renderer for result rows."""
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.coverage import TimeBudgetExceeded
 
@@ -25,21 +26,30 @@ def fmt_seconds(s: Optional[float]) -> str:
     return "DNF" if s is DNF else f"{s:.2f}"
 
 
-def show_rows(rows: List[dict]) -> str:
-    """Render result rows as a GitHub-flavoured markdown table."""
+#: Columns whose ``None`` means the setting did not finish in its budget.
+DNF_COLS = ("seconds", "n_mups", "n_input", "n_output")
+
+
+def _cell(col: str, v: Any) -> str:
+    if v is None:
+        return "DNF" if col in DNF_COLS else "-"
+    if isinstance(v, float):
+        return fmt_seconds(v) if col == "seconds" else f"{v:g}"
+    return str(v)
+
+
+def show_rows(rows: List[dict], cols: Optional[Sequence[str]] = None) -> str:
+    """Render result rows as a GitHub-flavoured markdown table.
+
+    ``cols`` defaults to the keys of the first row; every row must have
+    every column. ``seconds`` prints with 2 decimals, other floats with
+    ``:g`` (so a rate of 1e-05 stays visible), and ``None`` prints as
+    ``DNF`` in the columns of :data:`DNF_COLS` and ``-`` elsewhere.
+    """
     if not rows:
         return "(no rows)"
-    cols = list(rows[0].keys())
+    cols = list(rows[0]) if cols is None else list(cols)
     out = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
     for r in rows:
-        out.append(
-            "| "
-            + " | ".join(
-                "DNF"
-                if r[c] is DNF and ("seconds" in c or "time" in c)
-                else (f"{r[c]:.3f}" if isinstance(r[c], float) else str(r[c]))
-                for c in cols
-            )
-            + " |"
-        )
+        out.append("| " + " | ".join(_cell(c, r[c]) for c in cols) + " |")
     return "\n".join(out)

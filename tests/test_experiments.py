@@ -37,9 +37,15 @@ def test_fmt_seconds():
 
 
 def test_show_rows_markdown():
-    md = show_rows([{"a": 1, "seconds": DNF}, {"a": 2, "seconds": 0.5}])
+    md = show_rows([
+        {"a": 1, "seconds": DNF, "rate": 1e-05},
+        {"a": 2, "seconds": 0.5, "rate": 1e-4},
+    ])
     assert "| a | seconds |" in md
     assert "DNF" in md
+    assert "0.50" in md
+    assert "1e-05" in md and "0.0001" in md
+    assert "| 0.000 |" not in md  # the old fixed 3-decimal rendering of both rates
 
 
 def test_t1_compas_validation(spark):

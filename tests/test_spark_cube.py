@@ -13,6 +13,7 @@ from repro import synth_data as sd
 from repro.core import brute
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
+from repro.core.deepdiver import mups_deepdiver
 from repro.core.cube import (
     collect_patterns,
     cube_coverage,
@@ -105,8 +106,6 @@ def test_mups_spark_matches_brute_example1(spark, tau):
 
 
 def test_mups_spark_matches_driver_algorithms_on_compas(spark):
-    from repro.core.deepdiver import mups_deepdiver
-
     df = sd.compas_like(spark, n=400, seed=3).select(*sd.COMPAS_ATTRS)
     tau = 5
     got = collect_patterns(
@@ -147,6 +146,41 @@ def test_groupby_aggregate_oracle(spark):
         f"SELECT {cols}, count(*) AS cnt FROM t GROUP BY {cols}",
         t=df,
     )
+
+
+def test_audit_scan_groupby_oracle(spark):
+    """The audit scan's exact ``groupBy(*attrs).count()``, as
+    CoverageIndex.from_spark issues it, checked against DuckDB."""
+    df = sd.bluenile_like(spark, n=5000)
+    agg = df.groupBy(*sd.BLUENILE_ATTRS).count()
+    cols = ", ".join(sd.BLUENILE_ATTRS)
+    assert_equivalent(
+        agg,
+        f'SELECT {cols}, count(*) AS "count" FROM t GROUP BY {cols}',
+        t=df,
+    )
+
+
+def test_bucketized_continuous_attribute_coverage(spark):
+    """§II: continuous attributes are bucketised to categorical before
+    coverage analysis — do it in Spark and audit the result."""
+    n = 1000
+    # x = (37·id mod n) / 10 is a continuous attribute spread over [0, 100).
+    x = (F.col("id") * 37 % n) / 10.0
+    cat = spark.range(n).select(
+        F.when(x <= 10, 0).when(x <= 25, 1).otherwise(2).alias("x_bucket"),
+        (F.col("id") % 2).cast("int").alias("parity"),
+    )
+    idx = CoverageIndex.from_spark(cat, ["x_bucket", "parity"], [3, 2])
+    assert idx.n == n
+
+    def bucket(i):
+        v = (37 * i % n) / 10.0
+        return 0 if v <= 10 else 1 if v <= 25 else 2
+
+    rows = [(bucket(i), i % 2) for i in range(n)]
+    assert mups_deepdiver(idx, 1) == set()  # every combination occurs
+    assert mups_deepdiver(idx, 60) == brute.mups(rows, [3, 2], 60) != set()
 
 
 def test_pattern_coverage_filter_oracle(spark):
