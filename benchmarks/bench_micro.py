@@ -21,6 +21,13 @@ def test_bench_coverage_oracle(benchmark):
     benchmark(lambda: [idx.cov(p) for p in pats])
 
 
+def test_bench_max_covered_level(benchmark):
+    idx = _index()
+    # τ=100 leaves levels ≤ 6 covered, so the check bincounts every
+    # subset of up to six attributes and stops inside level 7.
+    assert benchmark(lambda: idx.max_covered_level(100)) == 6
+
+
 def test_bench_mup_dominance(benchmark):
     g = np.random.default_rng(1)
     midx = MupIndex([2] * 12)

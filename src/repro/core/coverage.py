@@ -10,6 +10,8 @@ the multiplicity vector.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -78,6 +80,7 @@ class CoverageIndex:
     @classmethod
     def from_pandas(cls, pdf: pd.DataFrame, attrs: Sequence[str], cards: Sequence[int]) -> "CoverageIndex":
         """Driver-side constructor (tests and tiny inputs)."""
+        _check_columns(pdf, attrs)
         g = pdf.groupby(list(attrs), sort=False).size().reset_index(name="count")
         return cls(g[list(attrs)].to_numpy(), g["count"].to_numpy(), cards)
 
@@ -94,9 +97,44 @@ class CoverageIndex:
         the (small) distinct-combination relation to the driver."""
         agg = df.groupBy(*attrs).count()
         pdf = agg.toPandas()
+        _check_columns(pdf, attrs)
         return cls(pdf[list(attrs)].to_numpy(), pdf["count"].to_numpy(), cards)
 
     # -- coverage oracle ----------------------------------------------
+
+    def max_covered_level(self, tau: int) -> int:
+        """Definition 6 without enumerating MUPs: the largest λ such that
+        every pattern of level ≤ λ has coverage ≥ ``tau`` (−1 when the
+        root is uncovered).
+
+        Level k is checked by one weighted ``np.bincount`` per k-subset S
+        of the attributes over the mixed-radix codes of ``combos[:, S]``,
+        which yields the coverage of all Π c_S level-k patterns on S at
+        once. If Π c_S > m some combination of S is absent, so it has
+        coverage 0 and the level is uncovered without counting; hence no
+        bincount is larger than m. The answer equals the minimum MUP
+        level minus one: if every level below L is covered and a level-L
+        pattern is not, all its parents are covered, so it is a MUP.
+        """
+        if self.n < tau:
+            return -1
+        if tau <= 0:
+            return self.d
+        m = len(self.counts)
+        # float64 weights sum exactly: every partial sum is ≤ n < 2**53.
+        weights = self.counts.astype(np.float64)
+        cols = np.ascontiguousarray(self.combos.T)
+        for k in range(1, self.d + 1):
+            for attrs in itertools.combinations(range(self.d), k):
+                size = math.prod(self.cards[i] for i in attrs)
+                if size > m:
+                    return k - 1
+                code = cols[attrs[0]]
+                for i in attrs[1:]:
+                    code = code * self.cards[i] + cols[i]
+                if np.bincount(code, weights=weights, minlength=size).min() < tau:
+                    return k - 1
+        return self.d
 
     def cov(self, p: Pattern) -> int:
         """cov(P, D): AND the masks of the deterministic elements, dot counts."""
@@ -123,3 +161,13 @@ class CoverageIndex:
                 for row, c in zip(self.combos, self.counts)
             }
         return self._exact
+
+
+def _check_columns(pdf: pd.DataFrame, attrs: Sequence[str]) -> None:
+    """Audited columns must hold integer codes without NULLs."""
+    for a in attrs:
+        col = pdf[a]
+        if col.isna().any():
+            raise ValueError(f"attribute column {a!r} contains NULL")
+        if not pd.api.types.is_integer_dtype(col.dtype):
+            raise ValueError(f"attribute column {a!r} is not integer-typed ({col.dtype})")

@@ -1,4 +1,5 @@
-"""CoverageIndex (Appendix A) against the brute-force Definition-2 count."""
+"""CoverageIndex (Appendix A) against the brute-force Definition-2 count,
+and its covered-level check against the Definition-6 level of brute MUPs."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -82,6 +83,67 @@ def test_exact_counts():
         (0, 0, 0): 1,
         (0, 1, 1): 1,
     }
+
+
+@given(rows_strategy())
+@settings(max_examples=80, deadline=None)
+def test_max_covered_level_matches_brute(cr):
+    cards, rows = cr
+    idx = CoverageIndex.from_rows(rows, cards)
+    n, d = len(rows), len(cards)
+    for tau in (0, 1, 2, n, n + 1):
+        want = pt.max_covered_level(brute.mups(rows, cards, tau), d)
+        assert idx.max_covered_level(tau) == want
+
+
+def test_max_covered_level_edge_cases():
+    # Example 1: 1XX has coverage 0, so level 1 is uncovered at τ=1.
+    idx = CoverageIndex.from_rows(EX1_ROWS, EX1_CARDS)
+    assert idx.max_covered_level(1) == 0
+    assert idx.max_covered_level(5) == 0
+    assert idx.max_covered_level(6) == -1  # root uncovered: n < τ
+    assert idx.max_covered_level(0) == 3  # nothing is below τ=0
+    # Every combination occurs twice: fully covered at τ ≤ 2.
+    full = [c for c in pt.all_combos([2, 3]) for _ in range(2)]
+    idx = CoverageIndex.from_rows(full, [2, 3])
+    assert idx.max_covered_level(2) == 2
+    assert idx.max_covered_level(3) == 1  # level-2 cells hold 2 rows
+    assert idx.max_covered_level(5) == 0  # a1's values hold 4 rows
+    # An attribute of cardinality 1 is covered wherever its parent is.
+    rows = [(0, 0), (0, 1), (0, 1)]
+    idx = CoverageIndex.from_rows(rows, [1, 2])
+    for tau in range(5):
+        want = pt.max_covered_level(brute.mups(rows, [1, 2], tau), 2)
+        assert idx.max_covered_level(tau) == want
+    assert idx.max_covered_level(1) == 2
+    # No rows: the root is uncovered for any positive τ.
+    empty = CoverageIndex(np.empty((0, 2), dtype=np.int64), np.empty(0), [2, 2])
+    assert empty.max_covered_level(1) == -1
+    assert empty.max_covered_level(0) == 2
+
+
+def test_null_in_audited_column_rejected():
+    pdf = pd.DataFrame({"a": [0, 1, None], "b": [1, 0, 1]})
+    with pytest.raises(ValueError, match="'a' contains NULL"):
+        CoverageIndex.from_pandas(pdf, ["a", "b"], [2, 2])
+
+
+def test_non_integer_column_rejected():
+    pdf = pd.DataFrame({"a": [0, 1, 1], "b": ["x", "y", "x"]})
+    with pytest.raises(ValueError, match="'b' is not integer-typed"):
+        CoverageIndex.from_pandas(pdf, ["a", "b"], [2, 2])
+
+
+def test_null_in_audited_column_rejected_spark(spark):
+    df = spark.createDataFrame([(0, 1), (1, 0), (None, 1)], "a int, b int")
+    with pytest.raises(ValueError, match="'a' contains NULL"):
+        CoverageIndex.from_spark(df, ["a", "b"], [2, 2])
+
+
+def test_non_integer_column_rejected_spark(spark):
+    df = spark.createDataFrame([(0, "x"), (1, "y")], "a int, b string")
+    with pytest.raises(ValueError, match="'b' is not integer-typed"):
+        CoverageIndex.from_spark(df, ["a", "b"], [2, 2])
 
 
 def test_value_out_of_cardinality_rejected():

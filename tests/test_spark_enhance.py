@@ -54,6 +54,10 @@ def test_enhancement_end_to_end_compas(spark, lam):
     after = verify_covered_level(enhanced, attrs, cards, tau)
     assert after >= lam
     assert after >= before
+    # The level-wise check is exact: it equals the lowest-MUP level.
+    assert before == pt.max_covered_level(mups_deepdiver(idx, tau), len(cards))
+    idx_after = CoverageIndex.from_spark(enhanced, attrs, cards)
+    assert after == pt.max_covered_level(mups_deepdiver(idx_after, tau), len(cards))
     # Output is a hitting set: strictly fewer combos than patterns when
     # any combination hits more than one pattern.
     assert len(combos) <= max(1, len(pats))
