@@ -15,6 +15,7 @@ N_ROWS = {
     "t7_level_limited": 2,
     "t8_enhance_threshold": 2,
     "t9_enhance_dimensions": 4,
+    "f6_level_hist": 9,
 }
 
 

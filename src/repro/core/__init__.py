@@ -6,7 +6,7 @@ Modules:
 * :mod:`repro.core.coverage` — Appendix-A coverage oracle over a Spark
   groupBy aggregate.
 * :mod:`repro.core.cube` — Spark-native all-pattern coverage (cube) and
-  the distributed naïve MUP algorithm.
+  a distributed Definition-5 MUP check over it.
 * :mod:`repro.core.naive` — driver-side naïve MUP identification (§III-A).
 * :mod:`repro.core.pattern_breaker` — Algorithm 1 (§III-C).
 * :mod:`repro.core.pattern_combiner` — Algorithm 2 (§III-D).

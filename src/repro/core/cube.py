@@ -1,12 +1,12 @@
-"""Spark-native all-pattern coverage and the distributed naïve algorithm.
+"""Spark-native all-pattern coverage and a distributed Definition-5 check.
 
 ``df.cube(*attrs).count()`` is exactly the paper's pattern/coverage
 relation restricted to patterns with non-zero support: a NULL in a
-grouping column is the paper's ``X``. Joining a *full* pattern table
-(cross product of per-attribute value∪NULL frames) against the cube
-null-safely fills in the zero-coverage patterns, and a parent-explosion
-join implements Definition 5's maximality test — the whole naïve
-algorithm stays inside Catalyst.
+grouping column is the paper's ``X`` (the data cube of Gray et al.).
+``mups_spark`` tests Definition 5 on it by counting covered parents:
+every covered pattern emits its children, and a child whose number of
+covered parents equals its level, and which is itself uncovered, is a
+MUP. The whole check stays inside Catalyst.
 
 Join-key encoding: pattern columns contain NULL (= X), and the session
 disables broadcast joins, so a raw ``eqNullSafe`` condition would plan
@@ -15,14 +15,13 @@ encoded as the sentinel ``-1`` (matching the driver-side ``X``) via
 ``coalesce``; joins are then plain equi-joins on the key columns and
 plan as shuffle joins.
 
-These run the combinatorial space through Spark, so they are meant for
+These run pattern-sized relations through Spark, so they are meant for
 small d (tests, COMPAS-sized audits) and as distributed cross-checks of
 the driver-side algorithms.
 """
 from __future__ import annotations
 
-from functools import reduce
-from typing import List, Sequence, Set
+from typing import Sequence, Set
 
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
@@ -40,44 +39,6 @@ def cube_coverage(df: DataFrame, attrs: Sequence[str]) -> DataFrame:
     return df.cube(*attrs).agg(F.count(F.lit(1)).alias("cov"))
 
 
-def pattern_table(spark: SparkSession, attrs: Sequence[str], cards: Sequence[int]) -> DataFrame:
-    """All Π (c_i + 1) patterns as a DataFrame with NULL = X.
-
-    Each per-attribute frame is coalesced to one partition first: the
-    cartesian product of d default-parallelism frames would otherwise
-    schedule parallelism^d near-empty tasks (minutes of pure scheduler
-    overhead for a few hundred rows).
-    """
-    out = None
-    for a, c in zip(attrs, cards):
-        vals = spark.createDataFrame(
-            [(v,) for v in range(c)] + [(None,)], f"{a} int"
-        ).coalesce(1)
-        out = vals if out is None else out.crossJoin(vals)
-    return out.repartition(spark.sparkContext.defaultParallelism)
-
-
-def full_pattern_coverage(
-    spark: SparkSession, df: DataFrame, attrs: Sequence[str], cards: Sequence[int]
-) -> DataFrame:
-    """Coverage of *every* pattern, including zero-coverage ones.
-
-    Sentinel-keyed left join of the full pattern table against the cube
-    aggregate; absent patterns get cov 0.
-    """
-    keys = [f"_k_{a}" for a in attrs]
-    pats = pattern_table(spark, attrs, cards).select(
-        "*", *[_key(F.col(a), k) for a, k in zip(attrs, keys)]
-    )
-    cube = cube_coverage(df, attrs).select(
-        *[_key(F.col(a), k) for a, k in zip(attrs, keys)], F.col("cov")
-    )
-    joined = pats.join(cube, on=keys, how="left")
-    return joined.select(
-        *attrs, F.coalesce(F.col("cov"), F.lit(0)).alias("cov")
-    )
-
-
 def mups_spark(
     spark: SparkSession,
     df: DataFrame,
@@ -85,46 +46,44 @@ def mups_spark(
     cards: Sequence[int],
     tau: int,
 ) -> DataFrame:
-    """Distributed naïve MUP identification (Definition 5 in Catalyst).
+    """Distributed MUP identification (Definition 5 in Catalyst).
 
-    A pattern is a MUP iff it is uncovered and the minimum coverage over
-    its parents (each deterministic element nulled in turn) is ≥ τ; the
-    root (no parents) is a MUP iff uncovered.
+    A pattern is a MUP iff it is uncovered and all of its parents are
+    covered. Each covered pattern emits one child per X position i and
+    value v; a child fixes i and v, so each parent emits it once, and the
+    child's covered parents are all there iff their count is its level.
+    The root, which has no parents, is always a candidate. The candidates
+    that are uncovered (coverage 0 when absent from the cube) are the
+    MUPs; for τ ≤ 0 there are none, since every coverage is ≥ 0.
     """
     keys = [f"_k_{a}" for a in attrs]
-    pkeys = [f"_p_{a}" for a in attrs]
-    covg = full_pattern_coverage(spark, df, attrs, cards).select(
-        "*", *[_key(F.col(a), k) for a, k in zip(attrs, keys)]
-    ).cache()
-
-    # Explode each pattern into its parents: one row per deterministic
-    # element, with that element's key replaced by the X sentinel.
-    parent_rows: List[DataFrame] = []
-    for i, a in enumerate(attrs):
-        cols = [
-            (F.lit(X) if b == a else F.col(f"_k_{b}")).alias(f"_p_{b}")
-            for b in attrs
-        ]
-        parent_rows.append(
-            covg.where(F.col(a).isNotNull()).select(*keys, *cols)
+    cube = cube_coverage(df, attrs).select(
+        *[_key(F.col(a), k) for a, k in zip(attrs, keys)], "cov"
+    )
+    child = [
+        F.when(
+            F.col(k) == X,
+            F.struct(*[(F.lit(v) if j == i else F.col(c)).alias(c) for j, c in enumerate(keys)]),
         )
-    parents = reduce(lambda x, y: x.unionByName(y), parent_rows)
-
-    pcov = covg.select(
-        *[F.col(k).alias(p) for k, p in zip(keys, pkeys)],
-        F.col("cov").alias("parent_cov"),
+        for i, k in enumerate(keys)
+        for v in range(cards[i])
+    ]
+    level = sum((F.col(k) != X).cast("int") for k in keys)
+    candidates = (
+        cube.where(F.col("cov") >= tau)
+        .select(F.explode(F.array(*child)).alias("c"))
+        .where(F.col("c").isNotNull())
+        .groupBy(*[F.col(f"c.{k}").alias(k) for k in keys])
+        .count()
+        .where(F.col("count") == level)
+        .select(*keys)
+        .unionByName(spark.range(1).select(*[F.lit(X).alias(k) for k in keys]))
     )
-    min_parent = (
-        parents.join(pcov, on=pkeys, how="inner")
-        .groupBy(*keys)
-        .agg(F.min("parent_cov").alias("min_parent_cov"))
+    out = candidates.join(cube, on=keys, how="left").select(
+        *[F.when(F.col(k) != X, F.col(k)).alias(a) for a, k in zip(attrs, keys)],
+        F.coalesce(F.col("cov"), F.lit(0)).alias("cov"),
     )
-
-    out = covg.join(min_parent, on=keys, how="left")
-    return out.where(
-        (F.col("cov") < tau)
-        & (F.col("min_parent_cov").isNull() | (F.col("min_parent_cov") >= tau))
-    ).select(*attrs, "cov")
+    return out.where(F.col("cov") < tau)
 
 
 def collect_patterns(df: DataFrame, attrs: Sequence[str]) -> Set[Pattern]:

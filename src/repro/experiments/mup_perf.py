@@ -1,4 +1,5 @@
-"""MUP-identification performance sweeps (T3–T7 ↔ Figures 12–16).
+"""MUP-identification performance sweeps (T3–T7 ↔ Figures 12–16) and
+the MUP level histogram (Figure 6).
 
 Every sweep builds the coverage index through the distributed
 ``groupBy`` scan (`CoverageIndex.from_spark`), then times each
@@ -8,11 +9,13 @@ algorithm).
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from pyspark.sql import SparkSession
 
 from repro import synth_data as sd
+from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
 from repro.core.pattern_breaker import mups_pattern_breaker
@@ -170,3 +173,10 @@ def level_limited_sweep(
             }
         )
     return rows
+
+
+def level_histogram(spark: SparkSession, *, n: int, d: int, tau: int) -> List[dict]:
+    """Fig 6: the number of MUPs at each level (DEEPDIVER, AirBnB)."""
+    idx = build_airbnb_index(spark, n=n, d=d)
+    hist = Counter(pt.level(p) for p in mups_deepdiver(idx, tau))
+    return [{"level": k, "n_mups": hist[k]} for k in sorted(hist)]

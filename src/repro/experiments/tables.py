@@ -18,6 +18,7 @@ from repro.experiments.enhance_perf import (
 from repro.experiments.mup_perf import (
     datasize_sweep,
     dimensions_sweep,
+    level_histogram,
     level_limited_sweep,
     threshold_sweep,
 )
@@ -111,5 +112,12 @@ TABLES: Dict[str, Table] = {
                    time_limit=120.0),
         small=dict(n=20_000, dims=(6, 10), lams=(2, 3), rate=1e-2, time_limit=60.0),
         cols=["d", "tau", *ENHANCE_COLS],
+    ),
+    "f6_level_hist": Table(
+        "Fig 6 — MUP level distribution, AirBnB",
+        level_histogram,
+        paper=dict(n=1000, d=13, tau=50),
+        small=dict(n=1000, d=13, tau=50),
+        cols=["level", "n_mups"],
     ),
 }

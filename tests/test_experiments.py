@@ -2,6 +2,7 @@
 well-formed, DNFs are honest, and the headline qualitative claims hold."""
 import pytest
 
+from repro.core.deepdiver import mups_deepdiver
 from repro.experiments import classifier_effect, compas_validation
 from repro.experiments.common import DNF, fmt_seconds, show_rows, timed
 from repro.experiments.enhance_perf import (
@@ -9,8 +10,10 @@ from repro.experiments.enhance_perf import (
     enhance_threshold_sweep,
 )
 from repro.experiments.mup_perf import (
+    build_airbnb_index,
     datasize_sweep,
     dimensions_sweep,
+    level_histogram,
     level_limited_sweep,
     threshold_sweep,
 )
@@ -107,6 +110,14 @@ def test_t7_level_limited_tiny(spark):
     for r in rows:
         assert r["seconds"] is not DNF
         assert r["n_mups"] is not None
+
+
+def test_f6_level_histogram_tiny(spark):
+    rows = level_histogram(spark, n=500, d=7, tau=20)
+    levels = [r["level"] for r in rows]
+    assert levels == sorted(set(levels)) and all(r["n_mups"] > 0 for r in rows)
+    mups = mups_deepdiver(build_airbnb_index(spark, n=500, d=7), 20)
+    assert sum(r["n_mups"] for r in rows) == len(mups)
 
 
 def test_t8_enhance_threshold_tiny(spark):

@@ -14,13 +14,7 @@ from repro.core import brute
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
-from repro.core.cube import (
-    collect_patterns,
-    cube_coverage,
-    full_pattern_coverage,
-    mups_spark,
-    pattern_table,
-)
+from repro.core.cube import collect_patterns, cube_coverage, mups_spark
 from repro.oracle import assert_equivalent
 
 EX1_ROWS = [(0, 1, 0), (0, 0, 1), (0, 0, 0), (0, 1, 1), (0, 0, 1)]
@@ -53,51 +47,6 @@ def test_cube_coverage_matches_duckdb_compas(spark):
     )
 
 
-def test_pattern_table_size(spark):
-    tbl = pattern_table(spark, ATTRS, EX1_CARDS)
-    assert tbl.count() == 27  # Π (c_i + 1) = 3^3, Figure 2
-
-
-def test_pattern_table_matches_duckdb(spark):
-    tbl = pattern_table(spark, ["a0", "a1"], [2, 3])
-    assert_equivalent(
-        tbl,
-        "SELECT * FROM (VALUES (0),(1),(NULL)) v0(a0), "
-        "(VALUES (0),(1),(2),(NULL)) v1(a1)",
-        dummy=pd.DataFrame({"x": [1]}),
-    )
-
-
-def test_full_pattern_coverage_matches_duckdb(spark):
-    df = ex1_df(spark)
-    got = full_pattern_coverage(spark, df, ATTRS, EX1_CARDS)
-    sql = """
-    WITH cube_cov AS (
-      SELECT a0, a1, a2, count(*) AS c FROM t GROUP BY CUBE (a0, a1, a2)
-    ),
-    pats AS (
-      SELECT * FROM (VALUES (0),(1),(NULL)) v0(a0),
-                    (VALUES (0),(1),(NULL)) v1(a1),
-                    (VALUES (0),(1),(NULL)) v2(a2)
-    )
-    SELECT p.a0 AS a0, p.a1 AS a1, p.a2 AS a2, coalesce(c.c, 0) AS cov
-    FROM pats p LEFT JOIN cube_cov c
-      ON p.a0 IS NOT DISTINCT FROM c.a0
-     AND p.a1 IS NOT DISTINCT FROM c.a1
-     AND p.a2 IS NOT DISTINCT FROM c.a2
-    """
-    assert_equivalent(got, sql, t=df)
-
-
-def test_full_pattern_coverage_matches_brute(spark):
-    df = ex1_df(spark)
-    got = full_pattern_coverage(spark, df, ATTRS, EX1_CARDS).collect()
-    assert len(got) == 27
-    for row in got:
-        p = tuple(pt.X if row[a] is None else int(row[a]) for a in ATTRS)
-        assert row["cov"] == brute.coverage(EX1_ROWS, p), p
-
-
 @pytest.mark.parametrize("tau", [1, 2, 3, 6])
 def test_mups_spark_matches_brute_example1(spark, tau):
     df = ex1_df(spark)
@@ -122,6 +71,78 @@ def test_mups_spark_ternary(spark):
     for tau in (1, 2, 3):
         got = collect_patterns(mups_spark(spark, df, ["a0", "a1"], [3, 3], tau), ["a0", "a1"])
         assert got == brute.mups(rows, [3, 3], tau)
+
+
+TERNARY_ROWS = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 2), (2, 2)]
+
+
+def definition5_sql(attrs, cards, tau):
+    """Definition 5 written literally in DuckDB SQL: every pattern of the
+    grid with its coverage (0 when absent from the cube), kept when it is
+    uncovered and no parent is uncovered."""
+    grid = ", ".join(
+        f"(VALUES {', '.join(f'({v})' for v in range(c))}, (NULL)) v{i}({a})"
+        for i, (a, c) in enumerate(zip(attrs, cards))
+    )
+    on = " AND ".join(f"p.{a} IS NOT DISTINCT FROM c.{a}" for a in attrs)
+    # q is a parent of p: p fixes some attribute a that q leaves X, and
+    # the two agree everywhere else.
+    parent = " OR ".join(
+        f"(p.{a} IS NOT NULL AND q.{a} IS NULL AND "
+        + " AND ".join(f"q.{b} IS NOT DISTINCT FROM p.{b}" for b in attrs if b != a)
+        + ")"
+        for a in attrs
+    )
+    cols = ", ".join(attrs)
+    return f"""
+    WITH cube_cov AS (
+      SELECT {cols}, count(*) AS c FROM t GROUP BY CUBE ({cols})
+    ),
+    covg AS (
+      SELECT {', '.join(f'p.{a} AS {a}' for a in attrs)}, coalesce(c.c, 0) AS cov
+      FROM (SELECT * FROM {grid}) p LEFT JOIN cube_cov c ON {on}
+    )
+    SELECT * FROM covg p
+    WHERE p.cov < {tau}
+      AND NOT EXISTS (SELECT 1 FROM covg q WHERE q.cov < {tau} AND ({parent}))
+    """
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize(
+    "rows, cards",
+    [(EX1_ROWS, EX1_CARDS), (TERNARY_ROWS, [3, 3])],
+    ids=["example1", "ternary"],
+)
+def test_mups_spark_matches_duckdb(spark, rows, cards, tau):
+    attrs = ATTRS[: len(cards)]
+    df = spark.createDataFrame(pd.DataFrame(rows, columns=attrs))
+    got = mups_spark(spark, df, attrs, cards, tau)
+    assert_equivalent(got, definition5_sql(attrs, cards, tau), t=df)
+
+
+ROOT2 = (pt.X, pt.X)
+
+
+@pytest.mark.parametrize(
+    "rows, cards, tau, expected",
+    [
+        (EX1_ROWS, EX1_CARDS, 0, set()),
+        ([], [2, 2], 1, {ROOT2}),
+        (TERNARY_ROWS, [3, 3], len(TERNARY_ROWS) + 1, {ROOT2}),
+        ([(0, 0, 1), (0, 1, 1), (0, 2, 0), (0, 0, 0)], [1, 3, 2], 2, None),
+    ],
+    ids=["tau0", "empty_frame", "tau_n_plus_1", "cardinality1"],
+)
+def test_mups_spark_edge_cases(spark, rows, cards, tau, expected):
+    attrs = ATTRS[: len(cards)]
+    schema = ", ".join(f"{a} int" for a in attrs)
+    df = spark.createDataFrame(rows, schema)
+    got = collect_patterns(mups_spark(spark, df, attrs, cards, tau), attrs)
+    want = brute.mups(rows, cards, tau)
+    assert got == want
+    if expected is not None:
+        assert want == expected
 
 
 def test_coverage_index_from_spark_matches_pandas(spark):
