@@ -3,8 +3,8 @@
 Modules:
 
 * :mod:`repro.core.patterns` — the pattern abstraction (§II).
-* :mod:`repro.core.coverage` — Appendix-A coverage oracle over a Spark
-  groupBy aggregate.
+* :mod:`repro.core.coverage` — coverage oracle over a Spark groupBy
+  aggregate: memoised per-attribute-subset cell counts.
 * :mod:`repro.core.cube` — Spark-native all-pattern coverage (cube) and
   a distributed Definition-5 MUP check over it.
 * :mod:`repro.core.naive` — driver-side naïve MUP identification (§III-A).

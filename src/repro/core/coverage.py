@@ -1,19 +1,23 @@
-"""Coverage oracle (Appendix A) over a Spark groupBy aggregate.
+"""Coverage oracle over a Spark groupBy aggregate.
 
 The scale-with-n work — scanning the (partitioned) dataset and reducing
 it to distinct value combinations with multiplicities — is a single
 Spark ``groupBy(*attrs).count()``. The reduced form (≤ min(n, Π c_i)
-rows) is pulled to the driver, where Appendix A's inverted indices are
-materialised as one numpy boolean mask per attribute value. ``cov(P)``
-is then the AND of the masks of P's deterministic elements dotted with
-the multiplicity vector.
+rows) is pulled to the driver. There, for an attribute subset S, one
+weighted bincount of the mixed-radix codes of ``combos[:, S]``
+gives the coverage of every pattern whose deterministic positions are
+exactly S: the data-cube cells of S (Gray et al., *Data Cube*, ICDE
+1996). The cells are built only for the subsets a search asks about and
+are memoised, so ``cov(P)`` is one array lookup. They replace Appendix
+A's per-value inverted indices; the counts are the same, since both sum
+the multiplicities of the combinations that agree with P on S.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -45,19 +49,26 @@ class Deadline:
 
 
 class CoverageIndex:
-    """Appendix-A inverted indices over the distinct value combinations.
+    """Coverage of every pattern, as memoised per-subset cell counts.
 
     Attributes
     ----------
     combos : (m, d) int array of distinct value combinations in the data
     counts : (m,) int array of multiplicities (Σ counts == n)
     cards  : attribute cardinalities
-    masks  : per attribute, per value, boolean mask over ``combos``
     cov_calls : number of coverage evaluations served (profiling aid)
+
+    Memory: the memo holds one int64 per cell of each attribute subset
+    that was touched. Every cell is one pattern, so the memo never
+    exceeds Π(c_i + 1) cells, the size of the pattern graph. A search
+    limited to level L holds at most Σ_{|S|≤L} Π c_S cells, because
+    PATTERN-BREAKER and DEEPDIVER never evaluate a pattern deeper than
+    their ``max_level``. Nothing is allocated until a subset is asked for.
     """
 
     def __init__(self, combos: np.ndarray, counts: np.ndarray, cards: Sequence[int]):
-        combos = np.asarray(combos, dtype=np.int64).reshape(-1, len(cards))
+        # Column-major: cells() reads one attribute's column at a time.
+        combos = np.asfortranarray(np.asarray(combos, dtype=np.int64).reshape(-1, len(cards)))
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
         if combos.shape[0] != counts.shape[0]:
             raise ValueError("combos/counts length mismatch")
@@ -66,14 +77,14 @@ class CoverageIndex:
         self.cards = list(cards)
         self.d = len(self.cards)
         self.n = int(counts.sum())
-        self.masks: List[Dict[int, np.ndarray]] = []
+        # float64 weights sum exactly: every partial sum is ≤ n < 2**53.
+        self._weights = counts.astype(np.float64)
         for i, c in enumerate(self.cards):
-            col = combos[:, i] if combos.size else np.empty(0, dtype=np.int64)
+            col = combos[:, i]
             if col.size and (col.min() < 0 or col.max() >= c):
                 raise ValueError(f"attribute {i} has values outside [0, {c})")
-            self.masks.append({v: col == v for v in range(c)})
         self.cov_calls = 0
-        self._exact: Optional[Dict[Pattern, int]] = None
+        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
 
     # -- constructors -------------------------------------------------
 
@@ -102,65 +113,58 @@ class CoverageIndex:
 
     # -- coverage oracle ----------------------------------------------
 
+    def cells(self, attrs: Tuple[int, ...]) -> np.ndarray:
+        """Coverage of every pattern whose deterministic positions are
+        exactly ``attrs`` (ascending), indexed by the mixed-radix code of
+        its values with the first attribute most significant. Memoised."""
+        out = self._cells.get(attrs)
+        if out is None:
+            code = np.zeros(len(self.counts), dtype=np.int64)
+            for i in attrs:
+                code *= self.cards[i]
+                code += self.combos[:, i]
+            size = math.prod(self.cards[i] for i in attrs)
+            out = np.bincount(code, weights=self._weights, minlength=size).astype(np.int64)
+            self._cells[attrs] = out
+        return out
+
     def max_covered_level(self, tau: int) -> int:
         """Definition 6 without enumerating MUPs: the largest λ such that
         every pattern of level ≤ λ has coverage ≥ ``tau`` (−1 when the
         root is uncovered).
 
-        Level k is checked by one weighted ``np.bincount`` per k-subset S
-        of the attributes over the mixed-radix codes of ``combos[:, S]``,
-        which yields the coverage of all Π c_S level-k patterns on S at
+        Level k is checked through the cells of each k-subset S of the
+        attributes, the coverage of all Π c_S level-k patterns on S at
         once. If Π c_S > m some combination of S is absent, so it has
         coverage 0 and the level is uncovered without counting; hence no
-        bincount is larger than m. The answer equals the minimum MUP
-        level minus one: if every level below L is covered and a level-L
-        pattern is not, all its parents are covered, so it is a MUP.
+        cell array built here is larger than m. The answer equals the
+        minimum MUP level minus one: if every level below L is covered
+        and a level-L pattern is not, all its parents are covered, so it
+        is a MUP.
         """
         if self.n < tau:
             return -1
         if tau <= 0:
             return self.d
         m = len(self.counts)
-        # float64 weights sum exactly: every partial sum is ≤ n < 2**53.
-        weights = self.counts.astype(np.float64)
-        cols = np.ascontiguousarray(self.combos.T)
         for k in range(1, self.d + 1):
             for attrs in itertools.combinations(range(self.d), k):
-                size = math.prod(self.cards[i] for i in attrs)
-                if size > m:
+                if math.prod(self.cards[i] for i in attrs) > m:
                     return k - 1
-                code = cols[attrs[0]]
-                for i in attrs[1:]:
-                    code = code * self.cards[i] + cols[i]
-                if np.bincount(code, weights=weights, minlength=size).min() < tau:
+                if self.cells(attrs).min() < tau:
                     return k - 1
         return self.d
 
     def cov(self, p: Pattern) -> int:
-        """cov(P, D): AND the masks of the deterministic elements, dot counts."""
+        """cov(P, D): P's cell among the cells of its deterministic positions."""
         self.cov_calls += 1
-        mask: Optional[np.ndarray] = None
+        attrs = []
+        code = 0
         for i, v in enumerate(p):
-            if v == X:
-                continue
-            m = self.masks[i][v]
-            mask = m if mask is None else (mask & m)
-        if mask is None:
-            return self.n
-        return int(self.counts[mask].sum())
-
-    def exact_counts(self) -> Dict[Pattern, int]:
-        """Multiplicity of every *present* full value combination.
-
-        This is the level-d input of PATTERN-COMBINER; combinations
-        absent from the data have count 0 and are simply not listed.
-        """
-        if self._exact is None:
-            self._exact = {
-                tuple(int(v) for v in row): int(c)
-                for row, c in zip(self.combos, self.counts)
-            }
-        return self._exact
+            if v != X:
+                attrs.append(i)
+                code = code * self.cards[i] + v
+        return int(self.cells(tuple(attrs))[code])
 
 
 def _check_columns(pdf: pd.DataFrame, attrs: Sequence[str]) -> None:

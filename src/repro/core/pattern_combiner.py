@@ -28,7 +28,7 @@ def mups_pattern_combiner(
     deadline = Deadline(time_limit)
     cards = idx.cards
     d = idx.d
-    exact = idx.exact_counts()
+    exact = dict(zip(map(tuple, idx.combos.tolist()), idx.counts.tolist()))
 
     # Level-d seeding: every combination of the cross product whose
     # multiplicity is below τ (absent combinations count 0).

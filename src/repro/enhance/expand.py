@@ -26,28 +26,3 @@ def uncovered_at_level(
             out.update(pt.descendants_at_level(p, lam, cards))
     return out
 
-
-def uncovered_with_value_count(
-    mups: Iterable[Pattern], v: int, cards: Sequence[int]
-) -> Set[Pattern]:
-    """Variant measure (Definition 7): uncovered patterns whose value
-    count is ≥ v — the alternative coverage-enhancement target the paper
-    sketches in §II/§IV.
-
-    Enumerates, per MUP, its descendants level by level while the value
-    count stays ≥ v (value count shrinks monotonically going down).
-    """
-    out: Set[Pattern] = set()
-    d = len(list(cards))
-    for p in mups:
-        if pt.value_count(p, cards) < v:
-            continue
-        for lam in range(pt.level(p), d + 1):
-            found = False
-            for q in pt.descendants_at_level(p, lam, cards):
-                if pt.value_count(q, cards) >= v:
-                    out.add(q)
-                    found = True
-            if not found:
-                break
-    return out

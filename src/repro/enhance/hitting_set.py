@@ -3,7 +3,8 @@
 The universe is the cross product of attribute values; the sets are the
 uncovered patterns to hit. Per attribute value (i, v) an inverted index
 holds the bitmask (python int, bit j ↔ pattern j) of patterns whose
-i-th element is v or X — exactly the Figure-9 indices. The best
+i-th element is v or X — exactly the Figure-9 indices, read off the
+per-value and X masks of a :class:`MupIndex` over the patterns. The best
 combination each round is found by a DFS over the value tree
 (Figure 10 / Algorithm 4): the running bitmask is ANDed edge by edge,
 children are visited in decreasing popcount order, and a subtree is cut
@@ -14,23 +15,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coverage import Deadline
-from repro.core.patterns import X, Pattern
+from repro.core.mup_index import MupIndex
+from repro.core.patterns import Pattern
 
 
 def build_inverted_indices(
     patterns: Sequence[Pattern], cards: Sequence[int]
 ) -> List[List[int]]:
     """idx[i][v] = bitmask of patterns with element i ∈ {v, X} (Figure 9)."""
-    idx = [[0] * c for c in cards]
-    for j, p in enumerate(patterns):
-        bit = 1 << j
-        for i, e in enumerate(p):
-            if e == X:
-                for v in range(cards[i]):
-                    idx[i][v] |= bit
-            else:
-                idx[i][e] |= bit
-    return idx
+    mi = MupIndex(cards)
+    for p in patterns:
+        mi.add(p)
+    return [[m[v] | m[c] for v in range(c)] for m, c in zip(mi.masks, cards)]
 
 
 def hit_count(

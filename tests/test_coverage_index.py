@@ -1,9 +1,12 @@
-"""CoverageIndex (Appendix A) against the brute-force Definition-2 count,
-and its covered-level check against the Definition-6 level of brute MUPs."""
+"""CoverageIndex against the brute-force Definition-2 count, and its
+covered-level check against the Definition-6 level of brute MUPs."""
+import itertools
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import brute
@@ -15,14 +18,14 @@ EX1_ROWS = [(0, 1, 0), (0, 0, 1), (0, 0, 0), (0, 1, 1), (0, 0, 1)]
 EX1_CARDS = [2, 2, 2]
 
 
-def rows_strategy(max_d=4, max_c=3, max_n=25):
+def rows_strategy(max_d=4, max_c=3, max_n=25, min_c=2, min_n=1):
     return st.integers(1, max_d).flatmap(
-        lambda d: st.lists(st.integers(2, max_c), min_size=d, max_size=d).flatmap(
+        lambda d: st.lists(st.integers(min_c, max_c), min_size=d, max_size=d).flatmap(
             lambda cards: st.tuples(
                 st.just(cards),
                 st.lists(
                     st.tuples(*[st.integers(0, c - 1) for c in cards]),
-                    min_size=1,
+                    min_size=min_n,
                     max_size=max_n,
                 ),
             )
@@ -75,14 +78,30 @@ def test_counts_aggregate_duplicates():
     assert idx.cov((X, 1)) == 3
 
 
-def test_exact_counts():
-    idx = CoverageIndex.from_rows(EX1_ROWS, EX1_CARDS)
-    assert idx.exact_counts() == {
-        (0, 1, 0): 1,
-        (0, 0, 1): 2,
-        (0, 0, 0): 1,
-        (0, 1, 1): 1,
-    }
+@given(rows_strategy(min_c=1, min_n=0))
+@settings(max_examples=60, deadline=None)
+@example(([2, 2, 2], EX1_ROWS))
+@example(([1, 2], []))
+def test_cells_match_brute(cr):
+    """Every subset's cells are the coverages of its patterns, in
+    mixed-radix order; on all the attributes they are the multiplicities
+    of the full combinations, 0 for the absent ones."""
+    cards, rows = cr
+    d = len(cards)
+    if rows:
+        idx = CoverageIndex.from_rows(rows, cards)
+    else:
+        idx = CoverageIndex(np.empty((0, d), dtype=np.int64), np.empty(0), cards)
+    for k in range(d + 1):
+        for attrs in itertools.combinations(range(d), k):
+            cells = idx.cells(attrs)
+            assert len(cells) == math.prod(cards[i] for i in attrs)
+            values = itertools.product(*(range(cards[i]) for i in attrs))
+            for code, vals in enumerate(values):
+                p = [X] * d
+                for i, v in zip(attrs, vals):
+                    p[i] = v
+                assert cells[code] == brute.coverage(rows, tuple(p))
 
 
 @given(rows_strategy())

@@ -9,7 +9,7 @@ from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex, TimeBudgetExceeded
 from repro.core.deepdiver import mups_deepdiver
 from repro.core.patterns import X
-from repro.enhance.expand import uncovered_at_level, uncovered_with_value_count
+from repro.enhance.expand import uncovered_at_level
 from repro.enhance.hitting_set import (
     build_inverted_indices,
     greedy_hitting_set,
@@ -65,19 +65,6 @@ def test_uncovered_at_level_skips_deeper_mups():
     # A MUP deeper than λ contributes nothing at level λ.
     mups = {pt.parse("110")}
     assert uncovered_at_level(mups, 2, [2, 2, 2]) == set()
-
-
-def test_value_count_variant():
-    # MUP X1X over cards [2,2,2] has value count 4; with v=4 only the MUP
-    # itself qualifies, with v=2 its level-2 descendants join.
-    mups = {pt.parse("X1X")}
-    got4 = uncovered_with_value_count(mups, 4, [2, 2, 2])
-    assert got4 == {pt.parse("X1X")}
-    got2 = uncovered_with_value_count(mups, 2, [2, 2, 2])
-    assert got2 == {
-        pt.parse("X1X"), pt.parse("01X"), pt.parse("11X"),
-        pt.parse("X10"), pt.parse("X11"),
-    }
 
 
 # -- inverted indices + hit-count -------------------------------------

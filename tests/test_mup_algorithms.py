@@ -186,3 +186,22 @@ def test_deepdiver_matches_breaker_medium_instance():
     for tau in (2, 10, 40):
         assert mups_deepdiver(idx, tau) == mups_pattern_breaker(idx, tau)
         assert mups_pattern_combiner(idx, tau) == mups_pattern_breaker(idx, tau)
+
+
+@pytest.mark.parametrize("algo", [mups_pattern_breaker, mups_deepdiver],
+                         ids=["pattern_breaker", "deepdiver"])
+def test_cell_memo_bounded_by_search(algo):
+    """The index memoises cells only for the subsets a search touches: a
+    level-limited search no deeper subsets, an unbounded one at most
+    Π(c_i + 1) cells, the size of the pattern graph."""
+    from repro.synth_data import airbnb_attrs, airbnb_like_pdf
+
+    pdf = airbnb_like_pdf(n=20_000, d=30)
+    idx = CoverageIndex.from_pandas(pdf, airbnb_attrs(30), [2] * 30)
+    algo(idx, 200, max_level=2)
+    assert idx._cells and all(len(attrs) <= 2 for attrs in idx._cells)
+
+    idx = CoverageIndex.from_rows(EX1_ROWS, EX1_CARDS)
+    for tau in (1, 2, 3, 6):
+        algo(idx, tau)
+    assert sum(len(c) for c in idx._cells.values()) <= 27
