@@ -1,10 +1,18 @@
 """Micro-benchmarks of the core primitives backing every table."""
+import itertools
+
 import numpy as np
+import pytest
 
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
 from repro.core.mup_index import MupIndex
-from repro.enhance.hitting_set import build_inverted_indices, hit_count
+from repro.enhance.hitting_set import (
+    build_inverted_indices,
+    greedy_hitting_set,
+    greedy_hitting_set_dfs,
+    hit_count,
+)
 
 
 def _index(d=12, n=50_000, seed=0):
@@ -55,3 +63,23 @@ def test_bench_hit_count(benchmark):
     idx = build_inverted_indices(pats, cards)
     full = (1 << len(pats)) - 1
     benchmark(lambda: hit_count(full, idx, cards))
+
+
+@pytest.mark.parametrize(
+    "solve", [greedy_hitting_set, greedy_hitting_set_dfs], ids=["dense", "dfs"]
+)
+def test_bench_greedy_hitting_set(benchmark, solve):
+    # 600 level-3 patterns over BlueNile's first six cardinalities: the
+    # shape of a λ=3 remedy on a wide-domain dataset.
+    cards = [10, 4, 7, 8, 3, 3]
+    g = np.random.default_rng(3)
+    subsets = list(itertools.combinations(range(len(cards)), 3))
+    pats = set()
+    while len(pats) < 600:
+        p = [pt.X] * len(cards)
+        for i in subsets[g.integers(len(subsets))]:
+            p[i] = int(g.integers(cards[i]))
+        pats.add(tuple(p))
+    pats = sorted(pats)
+    out = benchmark(lambda: solve(pats, cards))
+    assert all(any(pt.matches(c, p) for c in out) for p in pats)

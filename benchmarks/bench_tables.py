@@ -13,8 +13,8 @@ N_ROWS = {
     "t5_datasize": 6,
     "t6_dimensions": 6,
     "t7_level_limited": 2,
-    "t8_enhance_threshold": 2,
-    "t9_enhance_dimensions": 4,
+    "t8_enhance_threshold": 4,
+    "t9_enhance_dimensions": 8,
     "f6_level_hist": 9,
 }
 

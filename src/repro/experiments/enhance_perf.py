@@ -2,9 +2,11 @@
 
 Per setting: DEEPDIVER (level-limited to λ — deeper MUPs cannot affect
 M_λ) finds the MUPs, Appendix C expands them to the uncovered patterns
-at level λ (the hitting-set input), and GREEDY (and optionally the
-naïve greedy) collects value combinations (the output). Input/output
-sizes are recorded for T9 (Fig 19).
+at level λ (the hitting-set input), and each greedy solver collects
+value combinations (the output): ``greedy`` is the paper's Algorithm
+4/5, ``dense`` the library's ``greedy_hitting_set`` (the hit-array
+argmax on narrow universes) and, optionally, ``naive`` the direct
+greedy baseline. Input/output sizes are recorded for T9 (Fig 19).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from pyspark.sql import SparkSession
 from repro.core.coverage import CoverageIndex, TimeBudgetExceeded
 from repro.core.deepdiver import mups_deepdiver
 from repro.enhance.expand import uncovered_at_level
-from repro.enhance.hitting_set import greedy_hitting_set
+from repro.enhance.hitting_set import greedy_hitting_set, greedy_hitting_set_dfs
 from repro.enhance.naive_greedy import naive_greedy_hitting_set
 from repro.experiments.common import DNF, timed
 from repro.experiments.mup_perf import build_airbnb_index
@@ -30,41 +32,29 @@ def _one_setting(
     time_limit: Optional[float],
     base_row: dict,
 ) -> List[dict]:
-    rows: List[dict] = []
+    solvers = [("greedy", greedy_hitting_set_dfs), ("dense", greedy_hitting_set)]
+    if include_naive:
+        solvers.append(("naive", naive_greedy_hitting_set))
     try:
         mups = mups_deepdiver(idx, tau, max_level=lam, time_limit=time_limit)
         m_lam = sorted(uncovered_at_level(mups, lam, idx.cards))
     except TimeBudgetExceeded:
         # Even the input-set construction blew the budget: report DNF.
-        for algo in ["greedy"] + (["naive"] if include_naive else []):
-            rows.append(
-                {**base_row, "algorithm": algo, "seconds": DNF,
-                 "n_input": None, "n_output": None}
-            )
-        return rows
-    secs, combos = timed(
-        lambda: greedy_hitting_set(m_lam, idx.cards, time_limit=time_limit)
-    )
-    rows.append(
-        {
-            **base_row,
-            "algorithm": "greedy",
-            "seconds": secs,
-            "n_input": len(m_lam),
-            "n_output": None if combos is None else len(combos),
-        }
-    )
-    if include_naive:
-        secs_n, combos_n = timed(
-            lambda: naive_greedy_hitting_set(m_lam, idx.cards, time_limit=time_limit)
-        )
+        return [
+            {**base_row, "algorithm": name, "seconds": DNF,
+             "n_input": None, "n_output": None}
+            for name, _ in solvers
+        ]
+    rows: List[dict] = []
+    for name, solve in solvers:
+        secs, combos = timed(lambda: solve(m_lam, idx.cards, time_limit=time_limit))
         rows.append(
             {
                 **base_row,
-                "algorithm": "naive",
-                "seconds": secs_n,
+                "algorithm": name,
+                "seconds": secs,
                 "n_input": len(m_lam),
-                "n_output": None if combos_n is None else len(combos_n),
+                "n_output": None if combos is None else len(combos),
             }
         )
     return rows
@@ -80,7 +70,8 @@ def enhance_threshold_sweep(
     include_naive: bool = True,
     time_limit: Optional[float] = 120.0,
 ) -> List[dict]:
-    """T8 (Fig 17): GREEDY vs naïve greedy across threshold rates and λ."""
+    """T8 (Fig 17): GREEDY (Algorithm 4/5 and dense) vs naïve greedy
+    across threshold rates and λ."""
     idx = build_airbnb_index(spark, n=n, d=d)
     rows: List[dict] = []
     for rate in rates:

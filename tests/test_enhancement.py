@@ -9,10 +9,12 @@ from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex, TimeBudgetExceeded
 from repro.core.deepdiver import mups_deepdiver
 from repro.core.patterns import X
+from repro.enhance import hitting_set
 from repro.enhance.expand import uncovered_at_level
 from repro.enhance.hitting_set import (
     build_inverted_indices,
     greedy_hitting_set,
+    greedy_hitting_set_dfs,
     hit_count,
 )
 from repro.enhance.naive_greedy import naive_greedy_hitting_set
@@ -67,6 +69,23 @@ def test_uncovered_at_level_skips_deeper_mups():
     assert uncovered_at_level(mups, 2, [2, 2, 2]) == set()
 
 
+def patterns_strategy(max_d=5, max_c=4, max_k=12):
+    """(cards, patterns): cardinalities from 1, patterns of mixed levels
+    (the all-X root included), drawn with repetition so duplicates occur."""
+    return st.integers(1, max_d).flatmap(
+        lambda d: st.lists(st.integers(1, max_c), min_size=d, max_size=d).flatmap(
+            lambda cards: st.tuples(
+                st.just(cards),
+                st.lists(
+                    st.tuples(*[st.integers(X, c - 1) for c in cards]),
+                    min_size=1,
+                    max_size=max_k,
+                ),
+            )
+        )
+    )
+
+
 # -- inverted indices + hit-count -------------------------------------
 
 
@@ -109,6 +128,17 @@ def test_hit_count_exhaustive_agreement():
         sum(1 for p in pats if pt.matches(c, p))
         for c in itertools.product(*[range(c) for c in cards])
     )
+    assert cnt == best
+    assert sum(1 for p in pats if pt.matches(combo, p)) == best
+
+
+@given(patterns_strategy())
+@settings(max_examples=100, deadline=None)
+def test_hit_count_matches_brute_random(cp):
+    cards, pats = cp
+    idx = build_inverted_indices(pats, cards)
+    cnt, combo = hit_count((1 << len(pats)) - 1, idx, cards)
+    best = max(sum(1 for p in pats if pt.matches(c, p)) for c in pt.all_combos(cards))
     assert cnt == best
     assert sum(1 for p in pats if pt.matches(combo, p)) == best
 
@@ -177,6 +207,47 @@ def test_greedy_and_naive_same_size(crt):
     opt = brute.min_hitting_set_size(pats, cards)
     bound = opt * (1 + math.log(len(pats)))
     assert len(g) <= bound and len(n) <= bound
+
+
+@given(patterns_strategy())
+@settings(max_examples=100, deadline=None)
+def test_greedy_equals_naive_greedy(cp):
+    """On a narrow universe the dense argmax takes the first maximum in
+    itertools.product order, the naive scan's choice, so the outputs are
+    the same list, duplicates counted with their multiplicity in both."""
+    cards, pats = cp
+    assert greedy_hitting_set(pats, cards) == naive_greedy_hitting_set(pats, cards)
+
+
+def test_greedy_wide_universe_uses_dfs(monkeypatch):
+    """2**40 combinations are too many for the hit array. Every value of
+    a1..a38 keeps all patterns, so only the dominated-sibling cut keeps
+    Algorithm 4 from walking the whole value tree."""
+    calls = []
+
+    def dfs(*args, **kw):
+        calls.append(1)
+        return greedy_hitting_set_dfs(*args, **kw)
+
+    monkeypatch.setattr(hitting_set, "greedy_hitting_set_dfs", dfs)
+    d = 40
+    pats = [
+        tuple(v if i == pos else X for i in range(d))
+        for pos in (0, d - 1)
+        for v in (0, 1)
+    ]
+    out = hitting_set.greedy_hitting_set(pats, [2] * d, time_limit=5)
+    assert calls == [1]
+    assert len(out) == 2 and _covers_all(out, pats)
+
+
+def test_greedy_unhittable_pattern_rejected():
+    # 2 lies outside attribute 0's domain {0, 1}; Algorithm 4's indices
+    # would file it under X and return (0, 0), which does not hit it.
+    for solve in (greedy_hitting_set, greedy_hitting_set_dfs):
+        for bad in ([(2, X)], [(X, 5)], [(-2, 0)]):
+            with pytest.raises(AssertionError):
+                solve(bad, [2, 2])
 
 
 def test_greedy_time_limit():

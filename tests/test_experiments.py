@@ -125,19 +125,24 @@ def test_t8_enhance_threshold_tiny(spark):
         spark, n=5000, d=7, rates=(1e-2,), lams=(2,), include_naive=True,
         time_limit=60.0,
     )
-    assert len(rows) == 2
+    assert [r["algorithm"] for r in rows] == ["greedy", "dense", "naive"]
     greedy = next(r for r in rows if r["algorithm"] == "greedy")
     naive = next(r for r in rows if r["algorithm"] == "naive")
     if greedy["seconds"] is not DNF and naive["seconds"] is not DNF:
         assert greedy["n_input"] == naive["n_input"]
         assert greedy["n_output"] <= greedy["n_input"]
+    dense = next(r for r in rows if r["algorithm"] == "dense")
+    if dense["seconds"] is not DNF and naive["seconds"] is not DNF:
+        # Same argmax and tie-break as the naive scan: the same output.
+        assert dense["n_output"] == naive["n_output"]
 
 
 def test_t9_enhance_dimensions_tiny(spark):
     rows = enhance_dimensions_sweep(
         spark, n=5000, dims=(5, 7), lams=(2, 3), rate=1e-2, time_limit=60.0
     )
-    assert len(rows) == 4
+    assert len(rows) == 8
+    assert [r["algorithm"] for r in rows[:2]] == ["greedy", "dense"]
     for r in rows:
         if r["seconds"] is not DNF:
             assert r["n_output"] <= max(1, r["n_input"])
