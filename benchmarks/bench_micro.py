@@ -4,9 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
+from repro import synth_data as sd
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
+from repro.core.deepdiver import mups_deepdiver
 from repro.core.mup_index import MupIndex
+from repro.enhance.apply import append_collected, verify_covered_level
+from repro.enhance.expand import uncovered_at_level
 from repro.enhance.hitting_set import (
     build_inverted_indices,
     greedy_hitting_set,
@@ -83,3 +87,23 @@ def test_bench_greedy_hitting_set(benchmark, solve):
     pats = sorted(pats)
     out = benchmark(lambda: solve(pats, cards))
     assert all(any(pt.matches(c, p) for c in out) for p in pats)
+
+
+def test_bench_append_verify(benchmark, spark):
+    # L6 of the remedy: append τ copies of a real λ=3 GREEDY output to a
+    # cached BlueNile-like frame (the perfbench bluenile6 shape at a
+    # sixth of its rows and τ), then re-scan it for the covered level.
+    attrs, cards = sd.BLUENILE_ATTRS[:6], sd.BLUENILE_CARDS[:6]
+    lam, tau = 3, 60
+    df = sd.bluenile_like(spark, n=20_000).select(*attrs).cache()
+    idx = CoverageIndex.from_spark(df, attrs, cards)
+    m_lam = sorted(uncovered_at_level(mups_deepdiver(idx, tau, max_level=lam), lam, cards))
+    combos = greedy_hitting_set(m_lam, cards)
+    assert combos
+    level = benchmark.pedantic(
+        lambda: verify_covered_level(append_collected(spark, df, combos, attrs, tau),
+                                     attrs, cards, tau),
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+    df.unpersist()
+    assert level >= lam

@@ -4,6 +4,7 @@ Identify MUPs from a Spark scan, expand to level λ, run GREEDY, union
 the collected tuples back into the DataFrame, and verify the maximum
 covered level reached λ — the full §IV pipeline on real dataflow.
 """
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -11,20 +12,10 @@ from repro import synth_data as sd
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
-from repro.enhance.apply import append_collected, combos_to_pandas, verify_covered_level
+from repro.enhance.apply import append_collected, verify_covered_level
 from repro.enhance.expand import uncovered_at_level
 from repro.enhance.hitting_set import greedy_hitting_set
-
-
-def test_combos_to_pandas_replication():
-    out = combos_to_pandas([(0, 1), (1, 1)], ["a", "b"], tau=3)
-    assert len(out) == 6
-    assert (out.groupby(["a", "b"]).size() == 3).all()
-
-
-def test_combos_to_pandas_empty():
-    out = combos_to_pandas([], ["a", "b"], tau=3)
-    assert out.empty
+from repro.oracle import assert_equivalent
 
 
 def test_append_collected_counts(spark):
@@ -35,8 +26,49 @@ def test_append_collected_counts(spark):
 
 
 def test_append_collected_noop(spark):
+    df = spark.createDataFrame(pd.DataFrame({"a": [0, 1], "b": [1, 0], "c": [5, 6]}))
+    out = append_collected(spark, df, [], ["a", "b"], tau=4)
+    assert out.columns == ["a", "b"]
+    assert out.count() == 2
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_append_collected_small_tau(spark, tau):
+    # Spark's sequence(1, 0) is [1, 0]: τ = 0 must still append nothing.
+    df = spark.createDataFrame(pd.DataFrame({"a": [0, 1], "b": [1, 0], "c": [5, 6]}))
+    out = append_collected(spark, df, [(1, 1), (0, 0)], ["a", "b"], tau)
+    assert out.columns == ["a", "b"]
+    assert out.count() == 2 + 2 * tau
+    assert out.where("a = 0 AND b = 0").count() == tau
+
+
+def test_append_collected_negative_tau(spark):
     df = spark.createDataFrame(pd.DataFrame({"a": [0, 1], "b": [1, 0]}))
-    assert append_collected(spark, df, [], ["a", "b"], tau=4).count() == 2
+    with pytest.raises(ValueError, match="tau"):
+        append_collected(spark, df, [(1, 1)], ["a", "b"], tau=-1)
+
+
+def test_append_collected_matches_duckdb(spark):
+    """The appended relation's groupBy equals DuckDB's GROUP BY over the
+    data plus τ copies of each combination; a combination listed twice
+    gets 2τ copies."""
+    attrs, cards = sd.BLUENILE_ATTRS, sd.BLUENILE_CARDS
+    tau = 7
+    df = sd.bluenile_like(spark, n=5000)
+    g = np.random.default_rng(4)
+    combos = [tuple(int(g.integers(c)) for c in cards) for _ in range(120)]
+    combos.append(combos[0])
+    out = append_collected(spark, df, combos, attrs, tau)
+    cols = ", ".join(attrs)
+    assert_equivalent(
+        out.groupBy(*attrs).count(),
+        f"SELECT {cols}, count(*) AS count FROM ("
+        f" SELECT {cols} FROM data"
+        f" UNION ALL SELECT {cols} FROM combos CROSS JOIN range({tau})"
+        f") GROUP BY {cols}",
+        data=df,
+        combos=pd.DataFrame(combos, columns=attrs),
+    )
 
 
 @pytest.mark.parametrize("lam", [1, 2])
