@@ -9,6 +9,7 @@ from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
 from repro.core.mup_index import MupIndex
+from repro.core.pattern_breaker import mups_pattern_breaker
 from repro.enhance.apply import append_collected, verify_covered_level
 from repro.enhance.expand import uncovered_at_level
 from repro.enhance.hitting_set import (
@@ -49,6 +50,19 @@ def test_bench_max_covered_level(benchmark):
         lambda: CoverageIndex(base.combos, base.counts, base.cards).max_covered_level(100)
     )
     assert level == 6
+
+
+@pytest.mark.parametrize(
+    "search", [mups_deepdiver, mups_pattern_breaker], ids=["deepdiver", "pattern_breaker"]
+)
+def test_bench_mup_search(benchmark, search):
+    # L3, all MUPs on the airbnb10 shape at a fifth of its rows. A fresh
+    # index each call, as for the oracle, so the cell bincounts are timed.
+    d, tau = 10, 100
+    pdf = sd.airbnb_like_pdf(n=20_000, d=d)
+    base = CoverageIndex.from_pandas(pdf, sd.airbnb_attrs(d), [2] * d)
+    mups = benchmark(lambda: search(CoverageIndex(base.combos, base.counts, base.cards), tau))
+    assert len(mups) == len(mups_deepdiver(base, tau)) == len(mups_pattern_breaker(base, tau))
 
 
 def test_bench_mup_dominance(benchmark):

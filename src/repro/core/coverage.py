@@ -99,8 +99,9 @@ class CoverageIndex:
     def from_rows(cls, rows: Sequence[Sequence[int]], cards: Sequence[int]) -> "CoverageIndex":
         """From an in-memory list of tuples (used heavily in tests)."""
         attrs = [f"a{i}" for i in range(len(cards))]
-        pdf = pd.DataFrame(list(rows), columns=attrs)
-        return cls.from_pandas(pdf, attrs, cards)
+        # int64 even when there are no rows, where pandas would pick object.
+        values = np.asarray(list(rows), dtype=np.int64).reshape(-1, len(cards))
+        return cls.from_pandas(pd.DataFrame(values, columns=attrs), attrs, cards)
 
     @classmethod
     def from_spark(cls, df: DataFrame, attrs: Sequence[str], cards: Sequence[int]) -> "CoverageIndex":

@@ -1,16 +1,25 @@
 """DEEPDIVER — fast search-space pruner (Algorithm 3, §III-E).
 
-DFS over the Rule-1 tree. When the dive crosses into an uncovered node
-it *climbs*: repeatedly moves to any uncovered parent until every parent
-is covered — that node is a MUP. Discovered MUPs prune the rest of the
-search through the Appendix-B dominance index: nodes dominated by a MUP
-are skipped outright; nodes dominating a MUP are known covered (every
-ancestor of a MUP is covered by monotonicity) and expand without
-touching the coverage oracle.
+DFS over the Rule-1 tree, skipping every node that a discovered MUP
+dominates (the Appendix-B index). Children are pushed in increasing
+(position, value) order and popped last-first, so the walk is a
+pre-order of the Rule-1 tree that enters the child with the larger new
+position first. In that order every ancestor of a node is popped before
+the node: the parent that drops the right-most deterministic position
+is the Rule-1 parent, and any other parent's Rule-1 branch leaves the
+shared prefix at a position further right, so it is entered first.
+
+Hence Algorithm 3's climb and its "dominates a MUP" probe never act
+here. An undominated uncovered node has only covered parents (an
+uncovered parent would be dominated by a MUP already found, which would
+dominate the node too), so it is a MUP as popped. And a popped node is
+never an ancestor of a found MUP, which would come later in the walk.
+The search evaluates exactly PATTERN-BREAKER's nodes, the covered
+nodes and the MUPs, once each.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex, Deadline
@@ -30,42 +39,15 @@ def mups_deepdiver(
     d = idx.d
     depth = d if max_level is None else min(d, max_level)
     mindex = MupIndex(idx.cards)
-    # Coverage memo: the climb re-examines parents shared across dives.
-    memo: Dict[Pattern, int] = {}
-
-    def cov(p: Pattern) -> int:
-        c = memo.get(p)
-        if c is None:
-            c = idx.cov(p)
-            memo[p] = c
-        return c
-
-    def climb(p: Pattern) -> Pattern:
-        """Walk up from an uncovered node to a MUP (all parents covered)."""
-        while True:
-            deadline.check()
-            nxt = None
-            for parent in pt.parents(p):
-                if cov(parent) < tau:
-                    nxt = parent
-                    break
-            if nxt is None:
-                return p
-            p = nxt
-
     stack = [pt.root(d)]
     while stack:
         deadline.check()
         p = stack.pop()
         if mindex.dominated_by_any(p):
             continue
-        if mindex.dominates_any(p):
-            covered = True  # every ancestor of a MUP is covered
-        else:
-            covered = cov(p) >= tau
-        if covered:
+        if idx.cov(p) >= tau:
             if pt.level(p) < depth:
                 stack.extend(pt.rule1_children(p, idx.cards))
         else:
-            mindex.add(climb(p))
+            mindex.add(p)
     return set(mindex.mups)

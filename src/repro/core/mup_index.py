@@ -5,12 +5,10 @@ MUPs discovered so far; bit k is set when MUP k has that element. Python
 ints serve as arbitrary-width bit vectors, so AND/OR are single C-level
 operations and appending a MUP is O(d) mask updates.
 
-* ``dominates_any(P)``: P dominates some MUP iff ANDing the masks of
-  P's deterministic values is non-zero (a dominated MUP must agree
-  exactly on each of P's deterministic elements).
-* ``dominated_by_any(P)``: P is dominated by some MUP iff ANDing, per
-  attribute, ``mask[X]`` (for P's X elements) or ``mask[X] | mask[v]``
-  (for deterministic v) is non-zero.
+``dominated_by_any(P)``: P is dominated by some MUP iff ANDing, per
+attribute, ``mask[X]`` (for P's X elements) or ``mask[X] | mask[v]``
+(for deterministic v) is non-zero. DEEPDIVER skips such nodes; the
+enhancement's GREEDY (Algorithm 4) reads the same masks.
 """
 from __future__ import annotations
 
@@ -37,19 +35,6 @@ class MupIndex:
             self.masks[i][slot] |= bit
         self.m += 1
         self.mups.append(p)
-
-    def dominates_any(self, p: Pattern) -> bool:
-        """True iff p dominates (is a strict-or-equal ancestor of) some MUP."""
-        if self.m == 0:
-            return False
-        bv = (1 << self.m) - 1
-        for i, v in enumerate(p):
-            if v == X:
-                continue
-            bv &= self.masks[i][v]
-            if not bv:
-                return False
-        return bv != 0
 
     def dominated_by_any(self, p: Pattern) -> bool:
         """True iff some MUP dominates p (p equal to or below a MUP)."""

@@ -88,10 +88,7 @@ def test_cells_match_brute(cr):
     of the full combinations, 0 for the absent ones."""
     cards, rows = cr
     d = len(cards)
-    if rows:
-        idx = CoverageIndex.from_rows(rows, cards)
-    else:
-        idx = CoverageIndex(np.empty((0, d), dtype=np.int64), np.empty(0), cards)
+    idx = CoverageIndex.from_rows(rows, cards)
     for k in range(d + 1):
         for attrs in itertools.combinations(range(d), k):
             cells = idx.cells(attrs)
@@ -136,7 +133,7 @@ def test_max_covered_level_edge_cases():
         assert idx.max_covered_level(tau) == want
     assert idx.max_covered_level(1) == 2
     # No rows: the root is uncovered for any positive τ.
-    empty = CoverageIndex(np.empty((0, 2), dtype=np.int64), np.empty(0), [2, 2])
+    empty = CoverageIndex.from_rows([], [2, 2])
     assert empty.max_covered_level(1) == -1
     assert empty.max_covered_level(0) == 2
 

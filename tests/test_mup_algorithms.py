@@ -27,7 +27,7 @@ def rows_strategy(max_d=4, max_c=3, max_n=20):
                 st.just(cards),
                 st.lists(
                     st.tuples(*[st.integers(0, c - 1) for c in cards]),
-                    min_size=1,
+                    min_size=0,
                     max_size=max_n,
                 ),
                 st.integers(1, 5),
@@ -63,6 +63,14 @@ def test_all_covered_returns_empty(algo):
     rows = [(v1, v2) for v1 in range(2) for v2 in range(2)] * 3
     idx = CoverageIndex.from_rows(rows, [2, 2])
     assert algo(idx, 3) == set()
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_IDS)
+def test_empty_dataset(algo):
+    """No rows: nothing is covered at τ = 1, so the root is the only MUP."""
+    idx = CoverageIndex.from_rows([], [2, 3])
+    assert idx.max_covered_level(1) == -1
+    assert algo(idx, 1) == {pt.root(2)}
 
 
 @pytest.mark.parametrize("algo", ALGOS, ids=ALGO_IDS)
@@ -173,6 +181,36 @@ def test_time_limit_raises(algo):
     idx = CoverageIndex.from_rows(rows, [2] * 8)
     with pytest.raises(TimeBudgetExceeded):
         algo(idx, 5, time_limit=0.0)
+
+
+def _asked(algo, rows, cards, tau, max_level):
+    """The patterns ``algo`` asks the coverage oracle about, in order,
+    and the index's ``cov_calls`` afterwards."""
+    idx = CoverageIndex.from_rows(rows, cards)
+    asked = []
+    cov = idx.cov
+
+    def recording_cov(p):
+        asked.append(p)
+        return cov(p)
+
+    idx.cov = recording_cov
+    algo(idx, tau, max_level=max_level)
+    return asked, idx.cov_calls
+
+
+@given(rows_strategy(max_d=5, max_c=4, max_n=30))
+@settings(max_examples=80, deadline=None)
+def test_deepdiver_asks_what_breaker_asks(crt):
+    """DEEPDIVER's dive order is topological, so it evaluates exactly
+    PATTERN-BREAKER's nodes (the covered ones and the MUPs), once each."""
+    cards, rows, tau = crt
+    for max_level in [None, *range(len(cards) + 1)]:
+        dd, dd_calls = _asked(mups_deepdiver, rows, cards, tau, max_level)
+        pb, pb_calls = _asked(mups_pattern_breaker, rows, cards, tau, max_level)
+        assert len(dd) == len(set(dd))
+        assert set(dd) == set(pb)
+        assert dd_calls == pb_calls
 
 
 def test_deepdiver_matches_breaker_medium_instance():

@@ -9,25 +9,16 @@ from repro.core.patterns import X
 
 def test_empty_index_dominates_nothing():
     idx = MupIndex([2, 2, 2])
-    assert not idx.dominates_any(pt.parse("XXX"))
     assert not idx.dominated_by_any(pt.parse("000"))
 
 
 def test_paper_dominance_pair():
     idx = MupIndex([2, 2, 2, 2])
     idx.add(pt.parse("10X1"))
-    # 1XXX dominates 10X1; 10X1's children are dominated by it.
-    assert idx.dominates_any(pt.parse("1XXX"))
+    # 10X1's children are dominated by it.
     assert idx.dominated_by_any(pt.parse("1001"))
     assert idx.dominated_by_any(pt.parse("10X1"))  # reflexive
-    assert not idx.dominates_any(pt.parse("0XXX"))
     assert not idx.dominated_by_any(pt.parse("11XX"))
-
-
-def test_root_dominates_any_nonempty():
-    idx = MupIndex([2, 3])
-    idx.add(pt.parse("1X"))
-    assert idx.dominates_any(pt.root(2))
 
 
 def test_multiple_mups():
@@ -37,8 +28,6 @@ def test_multiple_mups():
     assert idx.dominated_by_any(pt.parse("02"))
     assert idx.dominated_by_any(pt.parse("12"))
     assert not idx.dominated_by_any(pt.parse("11"))
-    assert idx.dominates_any(pt.parse("XX"))
-    assert not idx.dominates_any(pt.parse("1X"))
 
 
 def cards_and_patterns():
@@ -64,5 +53,4 @@ def test_index_matches_direct_scan(cpq):
     idx = MupIndex(cards)
     for m in mups:
         idx.add(m)
-    assert idx.dominates_any(probe) == any(pt.dominates(probe, m) for m in mups)
     assert idx.dominated_by_any(probe) == any(pt.dominates(m, probe) for m in mups)
