@@ -167,6 +167,13 @@ class CoverageIndex:
                 code = code * self.cards[i] + v
         return int(self.cells(tuple(attrs))[code])
 
+    def cov_many(self, attrs: Tuple[int, ...], codes: np.ndarray) -> np.ndarray:
+        """``cov()`` of many patterns on one subset at once: the patterns
+        whose deterministic positions are exactly ``attrs``, given by
+        their cell codes (see ``cells``). Counts each as one evaluation."""
+        self.cov_calls += len(codes)
+        return self.cells(attrs)[codes]
+
 
 def _check_columns(pdf: pd.DataFrame, attrs: Sequence[str]) -> None:
     """Audited columns must hold integer codes without NULLs."""

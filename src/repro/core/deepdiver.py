@@ -35,6 +35,8 @@ def mups_deepdiver(
     time_limit: Optional[float] = None,
 ) -> Set[Pattern]:
     """Return all MUPs (restricted to level ≤ ``max_level`` if given)."""
+    if tau <= 0:  # no pattern has coverage below τ
+        return set()
     deadline = Deadline(time_limit)
     d = idx.d
     depth = d if max_level is None else min(d, max_level)

@@ -186,6 +186,12 @@ def test_cov_calls_counter():
     idx.cov(pt.parse("0X1"))
     idx.cov(pt.parse("XXX"))
     assert idx.cov_calls == before + 2
+    # 0X0, 0X1, 1X0 on subset (0, 2): one evaluation each.
+    got = idx.cov_many((0, 2), np.array([0, 1, 2]))
+    assert idx.cov_calls == before + 5
+    assert got.tolist() == [idx.cov(pt.parse(s)) for s in ("0X0", "0X1", "1X0")]
+    idx.cov_many((1,), np.array([], dtype=np.int64))
+    assert idx.cov_calls == before + 8
 
 
 def test_deadline_unlimited_never_raises():

@@ -1,6 +1,9 @@
 """The three MUP-identification algorithms vs the brute-force ground
 truth: the paper's worked examples, its two hardness constructions, and
 hypothesis-generated random datasets."""
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,18 +186,70 @@ def test_time_limit_raises(algo):
         algo(idx, 5, time_limit=0.0)
 
 
+def test_time_limit_fires_mid_search():
+    """A positive budget stops PATTERN-BREAKER partway through a search
+    that takes longer: the clock is read between batches, not only at
+    the start."""
+    from repro.synth_data import airbnb_attrs, airbnb_like_pdf
+
+    pdf = airbnb_like_pdf(n=100_000, d=13)
+    idx = CoverageIndex.from_pandas(pdf, airbnb_attrs(13), [2] * 13)
+    t0 = time.perf_counter()
+    mups_pattern_breaker(idx, 100)
+    full = time.perf_counter() - t0
+    idx = CoverageIndex.from_pandas(pdf, airbnb_attrs(13), [2] * 13)
+    t0 = time.perf_counter()
+    with pytest.raises(TimeBudgetExceeded):
+        mups_pattern_breaker(idx, 100, time_limit=0.2)
+    assert time.perf_counter() - t0 < full / 2
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_IDS)
+@pytest.mark.parametrize("tau", [0, -1])
+def test_nonpositive_tau_has_no_mups(algo, tau):
+    """Every coverage is ≥ 0 ≥ τ, so there is no MUP, and the top-down
+    searches return at once without asking the oracle."""
+    idx = CoverageIndex.from_rows(EX1_ROWS, EX1_CARDS)
+    assert algo(idx, tau) == brute.mups(EX1_ROWS, EX1_CARDS, tau) == set()
+    if algo in (mups_pattern_breaker, mups_deepdiver):
+        assert idx.cov_calls == 0
+
+
+@pytest.mark.parametrize("d", [40, 64])
+def test_breaker_wide_patterns(d):
+    """Binary patterns wider than an int64 radix code or subset bitmask:
+    PATTERN-BREAKER agrees with DEEPDIVER, with as many evaluations, and
+    returns tuples of Python ints."""
+    rows = [tuple(r) for r in np.random.default_rng(d).integers(0, 2, (12, d)).tolist()]
+    pb_idx = CoverageIndex.from_rows(rows, [2] * d)
+    dd_idx = CoverageIndex.from_rows(rows, [2] * d)
+    pb = mups_pattern_breaker(pb_idx, 2, max_level=2)
+    assert pb and pb == mups_deepdiver(dd_idx, 2, max_level=2)
+    assert pb_idx.cov_calls == dd_idx.cov_calls
+    assert all(type(v) is int for p in pb for v in p)
+
+
 def _asked(algo, rows, cards, tau, max_level):
-    """The patterns ``algo`` asks the coverage oracle about, in order,
-    and the index's ``cov_calls`` afterwards."""
+    """The patterns ``algo`` asks the coverage oracle about, through
+    ``cov`` or ``cov_many``, in order, and the index's ``cov_calls``
+    afterwards."""
     idx = CoverageIndex.from_rows(rows, cards)
     asked = []
-    cov = idx.cov
+    cov, cov_many = idx.cov, idx.cov_many
 
     def recording_cov(p):
         asked.append(p)
         return cov(p)
 
-    idx.cov = recording_cov
+    def recording_cov_many(attrs, codes):
+        for code in codes.tolist():
+            p = [pt.X] * len(cards)
+            for i in reversed(attrs):
+                code, p[i] = divmod(code, cards[i])
+            asked.append(tuple(p))
+        return cov_many(attrs, codes)
+
+    idx.cov, idx.cov_many = recording_cov, recording_cov_many
     algo(idx, tau, max_level=max_level)
     return asked, idx.cov_calls
 
