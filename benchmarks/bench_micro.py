@@ -103,21 +103,31 @@ def test_bench_greedy_hitting_set(benchmark, solve):
     assert all(any(pt.matches(c, p) for c in out) for p in pats)
 
 
-def test_bench_append_verify(benchmark, spark):
+@pytest.mark.parametrize("partitions", ["64", "cores"])
+def test_bench_append_verify(benchmark, spark, partitions):
     # L6 of the remedy: append τ copies of a real λ=3 GREEDY output to a
     # cached BlueNile-like frame (the perfbench bluenile6 shape at a
     # sixth of its rows and τ), then re-scan it for the covered level.
+    # "64" is the test session's shuffle width, "cores" the one
+    # jobs/_common.get_spark sets.
     attrs, cards = sd.BLUENILE_ATTRS[:6], sd.BLUENILE_CARDS[:6]
     lam, tau = 3, 60
+    key = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(key)
     df = sd.bluenile_like(spark, n=20_000).select(*attrs).cache()
-    idx = CoverageIndex.from_spark(df, attrs, cards)
-    m_lam = sorted(uncovered_at_level(mups_deepdiver(idx, tau, max_level=lam), lam, cards))
-    combos = greedy_hitting_set(m_lam, cards)
-    assert combos
-    level = benchmark.pedantic(
-        lambda: verify_covered_level(append_collected(spark, df, combos, attrs, tau),
-                                     attrs, cards, tau),
-        rounds=5, iterations=1, warmup_rounds=1,
-    )
-    df.unpersist()
+    try:
+        width = spark.sparkContext.defaultParallelism if partitions == "cores" else 64
+        spark.conf.set(key, str(width))
+        idx = CoverageIndex.from_spark(df, attrs, cards)
+        m_lam = sorted(uncovered_at_level(mups_deepdiver(idx, tau, max_level=lam), lam, cards))
+        combos = greedy_hitting_set(m_lam, cards)
+        assert combos
+        level = benchmark.pedantic(
+            lambda: verify_covered_level(append_collected(spark, df, combos, attrs, tau),
+                                         attrs, cards, tau),
+            rounds=5, iterations=1, warmup_rounds=1,
+        )
+    finally:
+        spark.conf.set(key, before)
+        df.unpersist()
     assert level >= lam

@@ -1,4 +1,18 @@
-"""The SparkSession builder shared by ``jobs/run.py`` and ``perfbench/``."""
+"""The SparkSession builder shared by ``jobs/run.py`` and ``perfbench/``.
+
+Every shuffle this program makes is the dataset scan's
+``groupBy(*attrs).count()`` (the audit's ``CoverageIndex.from_spark`` and
+the remedy's ``verify_covered_level``) or a ``cube()`` over the same
+columns. Its reduce side holds at most m rows, the distinct value
+combinations (740 on the airbnb d=10 workload, 10,233 on the BlueNile
+six-attribute one), or the cube's cells, whatever n is. So the session
+plans one reducer per core: ``spark.sql.shuffle.partitions`` is the
+session's ``defaultParallelism``. A constant 64 on ``local[4]`` made every
+map task hash into 64 buckets and AQE plan and coalesce 64 reducers for
+those few rows: on a 4-vCPU VM the remedy's append-and-verify of a
+20,000-row BlueNile-like frame took a median 364 ms with 64 partitions
+and 212 ms with 4 (``benchmarks/bench_micro.py::test_bench_append_verify``).
+"""
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
@@ -9,10 +23,11 @@ def get_spark(app: str) -> SparkSession:
     CLI; under plain ``python jobs/<name>.py`` fall back to local[*]."""
     import os
 
-    return (
+    spark = (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )
+    spark.conf.set("spark.sql.shuffle.partitions", str(spark.sparkContext.defaultParallelism))
+    return spark

@@ -59,7 +59,10 @@ def _run_algos(
     rows = []
     for name in algos:
         fn = ALGORITHMS[name]
-        secs, mups = timed(lambda: fn(idx, tau, time_limit=time_limit))
+        # A fresh index per call: the memoised cells would otherwise let
+        # every algorithm after the first skip the bincounts it paid for.
+        cold = CoverageIndex(idx.combos, idx.counts, idx.cards)
+        secs, mups = timed(lambda: fn(cold, tau, time_limit=time_limit))
         rows.append(
             {
                 **base_row,

@@ -2,8 +2,9 @@
 well-formed, DNFs are honest, and the headline qualitative claims hold."""
 import pytest
 
+from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
-from repro.experiments import classifier_effect, compas_validation
+from repro.experiments import classifier_effect, compas_validation, mup_perf
 from repro.experiments.common import DNF, fmt_seconds, show_rows, timed
 from repro.experiments.enhance_perf import (
     enhance_dimensions_sweep,
@@ -79,6 +80,27 @@ def test_t3_threshold_sweep_tiny(spark):
     # All algorithms that finished agree on the MUP count.
     for counts in by_setting.values():
         assert len(counts - {None}) == 1
+
+
+def test_each_algorithm_gets_a_cold_index(monkeypatch):
+    # Every (setting, algorithm) call is timed on its own index, so no
+    # algorithm reuses the memoised cells an earlier call built.
+    idx = CoverageIndex.from_rows([(0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 0)], [2, 2, 2])
+    monkeypatch.setattr(mup_perf, "build_airbnb_index", lambda spark, **kw: idx)
+    seen = []
+    for name, fn in list(mup_perf.ALGORITHMS.items()):
+        def spy(index, tau, *, _fn=fn, **kw):
+            seen.append((index, len(index._cells)))
+            return _fn(index, tau, **kw)
+        monkeypatch.setitem(mup_perf.ALGORITHMS, name, spy)
+    rows = threshold_sweep(
+        None, dataset="airbnb", rates=(0.3, 0.6), algos=tuple(mup_perf.ALGORITHMS)
+    )
+    assert len(rows) == len(seen) == 2 * len(mup_perf.ALGORITHMS)
+    assert all(r["n_mups"] for r in rows)
+    assert len({id(i) for i, _ in seen} | {id(idx)}) == len(seen) + 1
+    assert [n for _, n in seen] == [0] * len(seen)
+    assert not idx._cells
 
 
 def test_t4_bluenile_tiny(spark):

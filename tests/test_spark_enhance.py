@@ -4,6 +4,7 @@ Identify MUPs from a Spark scan, expand to level λ, run GREEDY, union
 the collected tuples back into the DataFrame, and verify the maximum
 covered level reached λ — the full §IV pipeline on real dataflow.
 """
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -69,6 +70,49 @@ def test_append_collected_matches_duckdb(spark):
         data=df,
         combos=pd.DataFrame(combos, columns=attrs),
     )
+
+
+def _rows(idx):
+    """The index's (combination, count) rows in sorted order."""
+    rows = np.column_stack([idx.combos, idx.counts])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def test_scan_independent_of_shuffle_partitions(spark):
+    """The audit scan and the remedy's verify give the same result with
+    one reducer, one per core and 64: the partition count only sizes the
+    shuffle."""
+    attrs, cards = sd.BLUENILE_ATTRS, sd.BLUENILE_CARDS
+    tau, lam = 20, 2
+    df = sd.bluenile_like(spark, n=5000).cache()
+    pdf = df.toPandas()
+    cols = ", ".join(attrs)
+    with duckdb.connect() as con:
+        con.register("t", pdf)
+        want = con.execute(f"SELECT {cols}, count(*) FROM t GROUP BY {cols}").fetchnumpy()
+    want = np.column_stack([want[c] for c in [*attrs, "count_star()"]]).astype(np.int64)
+    want = want[np.lexsort(want.T[::-1])]
+    idx = CoverageIndex.from_pandas(pdf, attrs, cards)
+    combos = greedy_hitting_set(
+        sorted(uncovered_at_level(mups_deepdiver(idx, tau, max_level=lam), lam, cards)), cards)
+    assert combos
+
+    key = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(key)
+    seen = []
+    try:
+        for parts in (1, spark.sparkContext.defaultParallelism, 64):
+            spark.conf.set(key, str(parts))
+            got = _rows(CoverageIndex.from_spark(df, attrs, cards))
+            np.testing.assert_array_equal(got, want)
+            out = append_collected(spark, df, combos, attrs, tau)
+            seen.append((_rows(CoverageIndex.from_spark(out, attrs, cards)).tolist(),
+                         verify_covered_level(out, attrs, cards, tau)))
+    finally:
+        spark.conf.set(key, before)
+        df.unpersist()
+    assert seen[0][1] >= lam
+    assert seen[1:] == seen[:1] * 2
 
 
 @pytest.mark.parametrize("lam", [1, 2])

@@ -52,6 +52,20 @@ def test_get_spark_importable():
     assert list(inspect.signature(get_spark).parameters) == ["app"]
 
 
+def test_get_spark_one_reducer_per_core(spark):
+    # Every shuffle reduces to at most m rows, so the session sizes it to
+    # its cores, not to n. get_spark returns the fixture's session here.
+    from jobs._common import get_spark
+
+    key = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(key)
+    try:
+        s = get_spark("t")
+        assert s.conf.get(key) == str(s.sparkContext.defaultParallelism)
+    finally:
+        spark.conf.set(key, before)
+
+
 def test_run_tables_writes_json(spark, tmp_path, capsys):
     names = ["t1_compas", "t2_classifier"]
     got = run_tables(spark, names, tmp_path)
