@@ -4,7 +4,6 @@ Identify MUPs from a Spark scan, expand to level λ, run GREEDY, union
 the collected tuples back into the DataFrame, and verify the maximum
 covered level reached λ — the full §IV pipeline on real dataflow.
 """
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -52,7 +51,11 @@ def test_append_collected_negative_tau(spark):
 def test_append_collected_matches_duckdb(spark):
     """The appended relation's groupBy equals DuckDB's GROUP BY over the
     data plus τ copies of each combination; a combination listed twice
-    gets 2τ copies."""
+    gets 2τ copies. Neither that scan, nor the index ``from_spark``
+    builds from it, nor the verify's level depends on the shuffle's
+    partition count: each is checked with one reducer, one per core and
+    64, with AQE's coalescing off so that each count is a different
+    layout of reducers."""
     attrs, cards = sd.BLUENILE_ATTRS, sd.BLUENILE_CARDS
     tau = 7
     df = sd.bluenile_like(spark, n=5000)
@@ -60,59 +63,30 @@ def test_append_collected_matches_duckdb(spark):
     combos = [tuple(int(g.integers(c)) for c in cards) for _ in range(120)]
     combos.append(combos[0])
     out = append_collected(spark, df, combos, attrs, tau)
+    ref = CoverageIndex.from_pandas(out.toPandas(), attrs, cards)
+    full = tuple(range(len(attrs)))
     cols = ", ".join(attrs)
-    assert_equivalent(
-        out.groupBy(*attrs).count(),
-        f"SELECT {cols}, count(*) AS count FROM ("
-        f" SELECT {cols} FROM data"
-        f" UNION ALL SELECT {cols} FROM combos CROSS JOIN range({tau})"
-        f") GROUP BY {cols}",
-        data=df,
-        combos=pd.DataFrame(combos, columns=attrs),
-    )
-
-
-def _rows(idx):
-    """The index's (combination, count) rows in sorted order."""
-    rows = np.column_stack([idx.combos, idx.counts])
-    return rows[np.lexsort(rows.T[::-1])]
-
-
-def test_scan_independent_of_shuffle_partitions(spark):
-    """The audit scan and the remedy's verify give the same result with
-    one reducer, one per core and 64: the partition count only sizes the
-    shuffle."""
-    attrs, cards = sd.BLUENILE_ATTRS, sd.BLUENILE_CARDS
-    tau, lam = 20, 2
-    df = sd.bluenile_like(spark, n=5000).cache()
-    pdf = df.toPandas()
-    cols = ", ".join(attrs)
-    with duckdb.connect() as con:
-        con.register("t", pdf)
-        want = con.execute(f"SELECT {cols}, count(*) FROM t GROUP BY {cols}").fetchnumpy()
-    want = np.column_stack([want[c] for c in [*attrs, "count_star()"]]).astype(np.int64)
-    want = want[np.lexsort(want.T[::-1])]
-    idx = CoverageIndex.from_pandas(pdf, attrs, cards)
-    combos = greedy_hitting_set(
-        sorted(uncovered_at_level(mups_deepdiver(idx, tau, max_level=lam), lam, cards)), cards)
-    assert combos
-
-    key = "spark.sql.shuffle.partitions"
-    before = spark.conf.get(key)
-    seen = []
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    before = [spark.conf.get(k) for k in keys]
     try:
+        spark.conf.set(keys[1], "false")
         for parts in (1, spark.sparkContext.defaultParallelism, 64):
-            spark.conf.set(key, str(parts))
-            got = _rows(CoverageIndex.from_spark(df, attrs, cards))
-            np.testing.assert_array_equal(got, want)
-            out = append_collected(spark, df, combos, attrs, tau)
-            seen.append((_rows(CoverageIndex.from_spark(out, attrs, cards)).tolist(),
-                         verify_covered_level(out, attrs, cards, tau)))
+            spark.conf.set(keys[0], str(parts))
+            assert_equivalent(
+                out.groupBy(*attrs).count(),
+                f"SELECT {cols}, count(*) AS count FROM ("
+                f" SELECT {cols} FROM data"
+                f" UNION ALL SELECT {cols} FROM combos CROSS JOIN range({tau})"
+                f") GROUP BY {cols}",
+                data=df,
+                combos=pd.DataFrame(combos, columns=attrs),
+            )
+            np.testing.assert_array_equal(
+                CoverageIndex.from_spark(out, attrs, cards).cells(full), ref.cells(full))
+            assert verify_covered_level(out, attrs, cards, tau) == ref.max_covered_level(tau)
     finally:
-        spark.conf.set(key, before)
-        df.unpersist()
-    assert seen[0][1] >= lam
-    assert seen[1:] == seen[:1] * 2
+        for k, v in zip(keys, before):
+            spark.conf.set(k, v)
 
 
 @pytest.mark.parametrize("lam", [1, 2])
