@@ -23,8 +23,10 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
-    """Session for a job. Under spark-submit the master comes from the
-    CLI; under plain ``python jobs/<name>.py`` fall back to local[*]."""
+    """The session named ``app``, master ``$SPARK_MASTER`` (default
+    ``local[*]``), Arrow transfers on and one shuffle partition per core.
+    If a session is already running, ``getOrCreate`` returns it and only
+    its shuffle width is set."""
     import os
 
     spark = (

@@ -1,4 +1,6 @@
-"""Experiment harnesses, one per evaluation table (DESIGN.md §5).
+"""Experiment harnesses for the evaluation tables (DESIGN.md §5): one
+per validation table (T1, T2, Fig 6) and one sweep per performance
+question (MUP identification T3–T7, enhancement T8–T9).
 
 Each harness takes the session SparkSession, runs the paper's sweep at
 the given (scaled) parameters, and returns a list of plain dicts — the

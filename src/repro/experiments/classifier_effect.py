@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
+import pandas as pd
 
 from repro import synth_data as sd
 from repro.ml import DecisionTree, accuracy, f1_score
@@ -62,8 +63,6 @@ def run(
             f"need {max(hf_train_counts)}"
         )
     for k in hf_train_counts:
-        import pandas as pd
-
         train = pd.concat([non_hf, pool_hf.iloc[:k]], ignore_index=True)
         tree = DecisionTree(max_depth=max_depth).fit(
             train[FEATURES].to_numpy(), train[LABEL].to_numpy()

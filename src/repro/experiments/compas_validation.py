@@ -8,7 +8,7 @@ matching individuals.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import List
 
 from pyspark.sql import SparkSession
 
@@ -19,20 +19,15 @@ from repro.core.deepdiver import mups_deepdiver
 
 
 def run(
-    spark: Optional[SparkSession] = None,
+    spark: SparkSession,
     *,
     n: int = 6889,
     tau: int = 10,
     seed: int = 7,
 ) -> List[dict]:
     attrs, cards = sd.COMPAS_ATTRS, sd.COMPAS_CARDS
-    if spark is not None:
-        df = sd.compas_like(spark, n=n, seed=seed).select(*attrs)
-        idx = CoverageIndex.from_spark(df, attrs, cards)
-    else:
-        idx = CoverageIndex.from_pandas(
-            sd.compas_like_pdf(n=n, seed=seed), attrs, cards
-        )
+    df = sd.compas_like(spark, n=n, seed=seed).select(*attrs)
+    idx = CoverageIndex.from_spark(df, attrs, cards)
     mups = mups_deepdiver(idx, tau)
     by_level = Counter(pt.level(p) for p in mups)
     min_single = min(

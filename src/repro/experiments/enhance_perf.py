@@ -1,4 +1,4 @@
-"""Coverage-enhancement performance sweeps (T8–T9 ↔ Figures 17–19).
+"""Coverage-enhancement performance, one sweep for T8–T9 (Figures 17–19).
 
 Per setting: DEEPDIVER (level-limited to λ — deeper MUPs cannot affect
 M_λ) finds the MUPs, Appendix C expands them to the uncovered patterns
@@ -60,53 +60,31 @@ def _one_setting(
     return rows
 
 
-def enhance_threshold_sweep(
+def enhance_sweep(
     spark: SparkSession,
     *,
-    n: int = 100_000,
-    d: int = 13,
-    rates: Sequence[float] = (1e-5, 1e-4, 1e-3, 1e-2),
-    lams: Sequence[int] = (3, 4, 5),
-    include_naive: bool = True,
-    time_limit: Optional[float] = 120.0,
+    n: int,
+    dims: Sequence[int],
+    rates: Sequence[float],
+    lams: Sequence[int],
+    include_naive: bool,
+    time_limit: Optional[float],
 ) -> List[dict]:
-    """T8 (Fig 17): GREEDY (Algorithm 4/5 and dense) vs naïve greedy
-    across threshold rates and λ."""
-    idx = build_airbnb_index(spark, n=n, d=d)
-    rows: List[dict] = []
-    for rate in rates:
-        tau = max(1, int(rate * idx.n))
-        for lam in lams:
-            rows += _one_setting(
-                idx, tau, lam,
-                include_naive=include_naive,
-                time_limit=time_limit,
-                base_row={"n": idx.n, "d": d, "rate": rate, "tau": tau, "lam": lam},
-            )
-    return rows
-
-
-def enhance_dimensions_sweep(
-    spark: SparkSession,
-    *,
-    n: int = 100_000,
-    dims: Sequence[int] = (5, 9, 13, 17),
-    lams: Sequence[int] = (3, 4, 5),
-    rate: float = 1e-2,
-    time_limit: Optional[float] = 120.0,
-) -> List[dict]:
-    """T9 (Fig 18 runtime + Fig 19 input/output sizes) across d and λ."""
+    """T8 (Fig 17) and T9 (Fig 18 runtime + Fig 19 input/output sizes):
+    each solver at every (d, rate, λ), τ = max(1, ⌊rate·n⌋); a λ above
+    d is skipped."""
     rows: List[dict] = []
     for d in dims:
         idx = build_airbnb_index(spark, n=n, d=d)
-        tau = max(1, int(rate * idx.n))
-        for lam in lams:
-            if lam > d:
-                continue
-            rows += _one_setting(
-                idx, tau, lam,
-                include_naive=False,
-                time_limit=time_limit,
-                base_row={"n": idx.n, "d": d, "rate": rate, "tau": tau, "lam": lam},
-            )
+        for rate in rates:
+            tau = max(1, int(rate * idx.n))
+            for lam in lams:
+                if lam > d:
+                    continue
+                rows += _one_setting(
+                    idx, tau, lam,
+                    include_naive=include_naive,
+                    time_limit=time_limit,
+                    base_row={"n": idx.n, "d": d, "rate": rate, "tau": tau, "lam": lam},
+                )
     return rows

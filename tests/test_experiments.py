@@ -1,23 +1,24 @@
 """Smoke tests for every experiment harness at tiny scale: rows are
 well-formed, DNFs are honest, and the headline qualitative claims hold."""
+import json
+import pathlib
+
 import pytest
 
 from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
 from repro.experiments import classifier_effect, compas_validation, mup_perf
 from repro.experiments.common import DNF, fmt_seconds, show_rows, timed
-from repro.experiments.enhance_perf import (
-    enhance_dimensions_sweep,
-    enhance_threshold_sweep,
-)
-from repro.experiments.mup_perf import (
-    build_airbnb_index,
-    datasize_sweep,
-    dimensions_sweep,
-    level_histogram,
-    level_limited_sweep,
-    threshold_sweep,
-)
+from repro.experiments.enhance_perf import enhance_sweep
+from repro.experiments.mup_perf import build_airbnb_index, level_histogram, mup_sweep
+
+OUT = pathlib.Path(__file__).resolve().parents[1] / "experiments_out"
+
+
+def assert_keys_as_committed(rows, table):
+    """Every row has the keys, in order, of the committed table's rows."""
+    committed = json.loads((OUT / f"{table}.json").read_text())
+    assert rows and all(list(r) == list(committed[0]) for r in rows)
 
 
 def test_timed_success():
@@ -69,10 +70,12 @@ def test_t2_classifier_effect():
 
 
 def test_t3_threshold_sweep_tiny(spark):
-    rows = threshold_sweep(
-        spark, dataset="airbnb", n=5000, d=7, rates=(1e-3, 1e-2), time_limit=60.0
+    rows = mup_sweep(
+        spark, dataset="airbnb", sizes=(5000,), dims=(7,), rates=(1e-3, 1e-2),
+        time_limit=60.0,
     )
     assert len(rows) == 6  # 2 rates x 3 algorithms
+    assert_keys_as_committed(rows, "t3_airbnb_threshold")
     by_setting = {}
     for r in rows:
         assert r["tau"] >= 1
@@ -93,8 +96,9 @@ def test_each_algorithm_gets_a_cold_index(monkeypatch):
             seen.append((index, len(index._cells)))
             return _fn(index, tau, **kw)
         monkeypatch.setitem(mup_perf.ALGORITHMS, name, spy)
-    rows = threshold_sweep(
-        None, dataset="airbnb", rates=(0.3, 0.6), algos=tuple(mup_perf.ALGORITHMS)
+    rows = mup_sweep(
+        None, sizes=(4,), dims=(3,), rates=(0.3, 0.6),
+        algos=tuple(mup_perf.ALGORITHMS), time_limit=None,
     )
     assert len(rows) == len(seen) == 2 * len(mup_perf.ALGORITHMS)
     assert all(r["n_mups"] for r in rows)
@@ -104,34 +108,59 @@ def test_each_algorithm_gets_a_cold_index(monkeypatch):
 
 
 def test_t4_bluenile_tiny(spark):
-    rows = threshold_sweep(
-        spark, dataset="bluenile", n=5000, rates=(1e-3,), time_limit=60.0
+    rows = mup_sweep(
+        spark, dataset="bluenile", sizes=(5000,), dims=(7,), rates=(1e-3,),
+        time_limit=60.0,
     )
     assert len(rows) == 3
     assert {r["algorithm"] for r in rows} == {
         "pattern_breaker", "pattern_combiner", "deepdiver"
     }
+    assert_keys_as_committed(rows, "t4_bluenile_threshold")
+
+
+@pytest.mark.parametrize("dims", [(5,), (7, 13)])
+def test_mup_sweep_bluenile_rejects_other_dims(dims):
+    # BlueNile has 7 attributes; any other d fails before Spark is touched.
+    with pytest.raises(ValueError, match=r"'bluenile' has 7 attributes"):
+        mup_sweep(None, dataset="bluenile", sizes=(100,), dims=dims, rates=(1e-2,),
+                  time_limit=None)
+
+
+def test_mup_sweep_unknown_dataset():
+    with pytest.raises(ValueError, match="compas"):
+        mup_sweep(None, dataset="compas", sizes=(100,), dims=(4,), rates=(1e-2,),
+                  time_limit=None)
 
 
 def test_t5_datasize_tiny(spark):
-    rows = datasize_sweep(spark, sizes=(2000, 5000), d=7, rate=1e-2, time_limit=60.0)
+    rows = mup_sweep(
+        spark, sizes=(2000, 5000), dims=(7,), rates=(1e-2,), time_limit=60.0
+    )
     assert len(rows) == 6
     assert {r["n"] for r in rows} == {2000, 5000}
+    assert_keys_as_committed(rows, "t5_datasize")
 
 
 def test_t6_dimensions_tiny(spark):
-    rows = dimensions_sweep(spark, n=5000, dims=(5, 7), rate=1e-2, time_limit=60.0)
+    rows = mup_sweep(
+        spark, sizes=(5000,), dims=(5, 7), rates=(1e-2,), time_limit=60.0
+    )
     assert {r["d"] for r in rows} == {5, 7}
+    assert_keys_as_committed(rows, "t6_dimensions")
 
 
 def test_t7_level_limited_tiny(spark):
-    rows = level_limited_sweep(
-        spark, n=5000, dims=(10, 14), rate=1e-2, max_level=2, time_limit=60.0
+    rows = mup_sweep(
+        spark, sizes=(5000,), dims=(10, 14), rates=(1e-2,), algos=("deepdiver",),
+        max_level=2, time_limit=60.0,
     )
     assert len(rows) == 2
     for r in rows:
         assert r["seconds"] is not DNF
         assert r["n_mups"] is not None
+        assert r["max_level"] == 2
+    assert_keys_as_committed(rows, "t7_level_limited")
 
 
 def test_f6_level_histogram_tiny(spark):
@@ -143,11 +172,12 @@ def test_f6_level_histogram_tiny(spark):
 
 
 def test_t8_enhance_threshold_tiny(spark):
-    rows = enhance_threshold_sweep(
-        spark, n=5000, d=7, rates=(1e-2,), lams=(2,), include_naive=True,
+    rows = enhance_sweep(
+        spark, n=5000, dims=(7,), rates=(1e-2,), lams=(2,), include_naive=True,
         time_limit=60.0,
     )
     assert [r["algorithm"] for r in rows] == ["greedy", "dense", "naive"]
+    assert_keys_as_committed(rows, "t8_enhance_threshold")
     greedy = next(r for r in rows if r["algorithm"] == "greedy")
     naive = next(r for r in rows if r["algorithm"] == "naive")
     if greedy["seconds"] is not DNF and naive["seconds"] is not DNF:
@@ -160,18 +190,21 @@ def test_t8_enhance_threshold_tiny(spark):
 
 
 def test_t9_enhance_dimensions_tiny(spark):
-    rows = enhance_dimensions_sweep(
-        spark, n=5000, dims=(5, 7), lams=(2, 3), rate=1e-2, time_limit=60.0
+    rows = enhance_sweep(
+        spark, n=5000, dims=(5, 7), rates=(1e-2,), lams=(2, 3), include_naive=False,
+        time_limit=60.0,
     )
     assert len(rows) == 8
     assert [r["algorithm"] for r in rows[:2]] == ["greedy", "dense"]
+    assert_keys_as_committed(rows, "t9_enhance_dimensions")
     for r in rows:
         if r["seconds"] is not DNF:
             assert r["n_output"] <= max(1, r["n_input"])
 
 
 def test_t9_lam_above_d_skipped(spark):
-    rows = enhance_dimensions_sweep(
-        spark, n=1000, dims=(2,), lams=(3,), rate=1e-2, time_limit=30.0
+    rows = enhance_sweep(
+        spark, n=1000, dims=(2,), rates=(1e-2,), lams=(3,), include_naive=False,
+        time_limit=30.0,
     )
     assert rows == []
