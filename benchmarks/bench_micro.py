@@ -8,7 +8,6 @@ from repro import synth_data as sd
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex
 from repro.core.deepdiver import mups_deepdiver
-from repro.core.mup_index import MupIndex
 from repro.core.pattern_breaker import mups_pattern_breaker
 from repro.enhance.apply import append_collected, verify_covered_level
 from repro.enhance.expand import uncovered_at_level
@@ -63,15 +62,6 @@ def test_bench_mup_search(benchmark, search):
     base = CoverageIndex.from_pandas(pdf, sd.airbnb_attrs(d), [2] * d)
     mups = benchmark(lambda: search(CoverageIndex(base.combos, base.counts, base.cards), tau))
     assert len(mups) == len(mups_deepdiver(base, tau)) == len(mups_pattern_breaker(base, tau))
-
-
-def test_bench_mup_dominance(benchmark):
-    g = np.random.default_rng(1)
-    midx = MupIndex([2] * 12)
-    for row in g.integers(-1, 2, size=(2000, 12)):
-        midx.add(tuple(int(v) for v in row))
-    probes = [tuple(int(v) for v in r) for r in g.integers(-1, 2, size=(200, 12))]
-    benchmark(lambda: [midx.dominated_by_any(p) for p in probes])
 
 
 def test_bench_hit_count(benchmark):

@@ -16,9 +16,8 @@ alone gives the ln-approximation). Two oracles find that combination:
   Python loop runs once per distinct pattern.
 * **Algorithm 4** (wide universes): per attribute value (i, v) an
   inverted index holds the bitmask (python int, bit j ↔ pattern j) of
-  patterns whose i-th element is v or X — exactly the Figure-9 indices,
-  read off the per-value and X masks of a :class:`MupIndex` over the
-  patterns. A DFS over the value tree (Figure 10) ANDs the running
+  patterns whose i-th element is v or X — exactly the Figure-9 indices.
+  A DFS over the value tree (Figure 10) ANDs the running
   bitmask edge by edge, visits children in decreasing popcount order
   and cuts a subtree as soon as its popcount cannot beat the best
   combination found so far. A child equal to its parent's bitmask
@@ -43,7 +42,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.coverage import Deadline
-from repro.core.mup_index import MupIndex
 from repro.core.patterns import X, Pattern
 
 #: Most int32 cells (hit array plus group cells, 4 MiB) the dense oracle
@@ -77,10 +75,14 @@ def build_inverted_indices(
     patterns: Sequence[Pattern], cards: Sequence[int]
 ) -> List[List[int]]:
     """idx[i][v] = bitmask of patterns with element i ∈ {v, X} (Figure 9)."""
-    mi = MupIndex(cards)
-    for p in patterns:
-        mi.add(p)
-    return [[m[v] | m[c] for v in range(c)] for m, c in zip(mi.masks, cards)]
+    pats = np.asarray(patterns, dtype=np.int64).reshape(len(patterns), len(cards))
+    out = []
+    for i, c in enumerate(cards):
+        col = pats[:, i]
+        # Little-endian packing puts pattern j at byte j // 8, bit j % 8.
+        bits = [np.packbits((col == v) | (col == X), bitorder="little") for v in range(c)]
+        out.append([int.from_bytes(b.tobytes(), "little") for b in bits])
+    return out
 
 
 def hit_count(

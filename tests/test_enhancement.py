@@ -99,6 +99,17 @@ def test_inverted_indices_basic():
     assert idx[1][1] == 0b01
 
 
+@given(patterns_strategy())
+@settings(max_examples=150, deadline=None)
+def test_inverted_indices_match_definition(cp):
+    """Figure 9: bit j of idx[i][v] is set iff element i of pattern j is v or X."""
+    cards, pats = cp
+    idx = build_inverted_indices(pats, cards)
+    for i, c in enumerate(cards):
+        for v in range(c):
+            assert idx[i][v] == sum(1 << j for j, p in enumerate(pats) if p[i] in (v, X))
+
+
 def test_hit_count_finds_max_hitting_combo():
     pats = [pt.parse("1X"), pt.parse("X0"), pt.parse("0X")]
     idx = build_inverted_indices(pats, [2, 2])

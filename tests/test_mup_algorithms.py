@@ -186,21 +186,24 @@ def test_time_limit_raises(algo):
         algo(idx, 5, time_limit=0.0)
 
 
-def test_time_limit_fires_mid_search():
-    """A positive budget stops PATTERN-BREAKER partway through a search
-    that takes longer: the clock is read between batches, not only at
-    the start."""
+@pytest.mark.parametrize(
+    "algo", [mups_pattern_breaker, mups_deepdiver], ids=["pattern_breaker", "deepdiver"]
+)
+def test_time_limit_fires_mid_search(algo):
+    """A positive budget stops the search partway through a search that
+    takes longer: the clock is read at every attribute subset's batch,
+    not only at the start."""
     from repro.synth_data import airbnb_attrs, airbnb_like_pdf
 
     pdf = airbnb_like_pdf(n=100_000, d=13)
     idx = CoverageIndex.from_pandas(pdf, airbnb_attrs(13), [2] * 13)
     t0 = time.perf_counter()
-    mups_pattern_breaker(idx, 100)
+    algo(idx, 100)
     full = time.perf_counter() - t0
     idx = CoverageIndex.from_pandas(pdf, airbnb_attrs(13), [2] * 13)
     t0 = time.perf_counter()
     with pytest.raises(TimeBudgetExceeded):
-        mups_pattern_breaker(idx, 100, time_limit=0.2)
+        algo(idx, 100, time_limit=0.2)
     assert time.perf_counter() - t0 < full / 2
 
 
@@ -268,8 +271,44 @@ def test_deepdiver_asks_what_breaker_asks(crt):
         assert dd_calls == pb_calls
 
 
+def _subset_runs(asked):
+    """The attribute subsets of the asked patterns, one per run of
+    consecutive patterns on the same subset."""
+    runs = []
+    for p in asked:
+        attrs = tuple(i for i, v in enumerate(p) if v != pt.X)
+        if not runs or runs[-1] != attrs:
+            runs.append(attrs)
+    return runs
+
+
+def _rule1_preorder(attrs, d):
+    """The Rule-1 tree of attribute subsets below ``attrs``, in pre-order,
+    entering the child with the larger new position first."""
+    yield attrs
+    for j in reversed(range(attrs[-1] + 1 if attrs else 0, d)):
+        yield from _rule1_preorder(attrs + (j,), d)
+
+
+def test_deepdiver_stays_depth_first():
+    """DEEPDIVER asks each subset's patterns in one contiguous run, its
+    subsets in Rule-1 pre-order; PATTERN-BREAKER asks level by level. On
+    this instance the searches reach level 4 and skip 4 of the 32 subsets."""
+    g = np.random.default_rng(5)
+    cards = [2, 3, 2, 2, 3]
+    rows = [tuple(int(v) for v in g.integers(0, cards)) for _ in range(60)]
+    dd, _ = _asked(mups_deepdiver, rows, cards, 6, None)
+    pb, _ = _asked(mups_pattern_breaker, rows, cards, 6, None)
+    dd_runs, pb_runs = _subset_runs(dd), _subset_runs(pb)
+    assert len(dd_runs) == len(set(dd_runs)) and len(pb_runs) == len(set(pb_runs))
+    assert set(dd_runs) == set(pb_runs)
+    assert dd_runs == [s for s in _rule1_preorder((), len(cards)) if s in set(dd_runs)]
+    assert [len(s) for s in pb_runs] == sorted(len(s) for s in pb_runs)
+    assert len(dd_runs) == 28 and max(len(s) for s in dd_runs) == 4 and dd_runs != pb_runs
+
+
 def test_deepdiver_matches_breaker_medium_instance():
-    """A denser 6-attribute instance exercising the dominance index."""
+    """A denser 6-attribute instance exercising the parent-flag filter."""
     import numpy as np
 
     g = np.random.default_rng(0)
