@@ -1,4 +1,5 @@
-"""The SparkSession builder shared by ``jobs/run.py`` and ``perfbench/``.
+"""The SparkSession builder shared by ``jobs/run.py``, ``perfbench/`` and
+the tests' ``spark`` fixture in ``conftest.py``.
 
 Every shuffle this program makes is the dataset scan's
 ``groupBy(*attrs).count()`` (the audit's ``CoverageIndex.from_spark`` and

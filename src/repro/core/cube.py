@@ -8,12 +8,11 @@ every covered pattern emits its children, and a child whose number of
 covered parents equals its level, and which is itself uncovered, is a
 MUP. The whole check stays inside Catalyst.
 
-Join-key encoding: pattern columns contain NULL (= X), and the session
-disables broadcast joins, so a raw ``eqNullSafe`` condition would plan
-as a cartesian product. Attribute values are non-negative, so NULL is
+Join-key encoding: pattern columns contain NULL (= X), which a plain
+equality never matches. Attribute values are non-negative, so NULL is
 encoded as the sentinel ``-1`` (matching the driver-side ``X``) via
-``coalesce``; joins are then plain equi-joins on the key columns and
-plan as shuffle joins.
+``coalesce``. The keys are then never NULL, and every join is a plain
+equi-join on the key columns, whatever the session's join settings.
 
 These run pattern-sized relations through Spark, so they are meant for
 small d (tests, COMPAS-sized audits) and as distributed cross-checks of

@@ -185,14 +185,19 @@ def test_greedy_triangle_edge_patterns():
     assert out == [(1, 1, 1)]
 
 
+@pytest.mark.parametrize(
+    "solve", [greedy_hitting_set, greedy_hitting_set_dfs], ids=lambda f: f.__name__
+)
 @given(rows_strategy())
 @settings(max_examples=50, deadline=None)
-def test_greedy_covers_all_uncovered_random(crt):
+def test_greedy_covers_all_uncovered_random(solve, crt):
+    # Both argmax oracles: the dense hit array, which greedy_hitting_set
+    # takes on these narrow universes, and Algorithm 4's inverted-index DFS.
     cards, rows, tau = crt
     mups = brute.mups(rows, cards, tau)
     for lam in range(len(cards) + 1):
         pats = sorted(uncovered_at_level(mups, lam, cards))
-        out = greedy_hitting_set(pats, cards)
+        out = solve(pats, cards)
         assert _covers_all(out, pats)
         # Each collected combination must hit at least one pattern.
         assert len(out) <= len(pats)

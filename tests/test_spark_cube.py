@@ -156,19 +156,6 @@ def test_coverage_index_from_spark_matches_pandas(spark):
         assert i_spark.cov(p) == i_pandas.cov(p)
 
 
-def test_groupby_aggregate_oracle(spark):
-    """The distributed scan behind CoverageIndex.from_spark, checked
-    against DuckDB row-for-row."""
-    df = sd.bluenile_like(spark, n=2000)
-    agg = df.groupBy(*sd.BLUENILE_ATTRS).agg(F.count(F.lit(1)).alias("cnt"))
-    cols = ", ".join(sd.BLUENILE_ATTRS)
-    assert_equivalent(
-        agg,
-        f"SELECT {cols}, count(*) AS cnt FROM t GROUP BY {cols}",
-        t=df,
-    )
-
-
 def test_audit_scan_groupby_oracle(spark):
     """The audit scan's exact ``groupBy(*attrs).count()``, as
     CoverageIndex.from_spark issues it, checked against DuckDB."""
